@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import dimest
 from dimest import REPORT_JSON_SCHEMA, load_points_csv, uniform_segment
 from dimest.cli import run
 
@@ -150,6 +154,26 @@ def test_malformed_csv_reports_line(tmp_path, capsys):
     src.write_text("0.1,0.2\n0.3,zzz\n")
     assert run(["count", "--in", str(src)]) == 1
     assert "line 2" in capsys.readouterr().err
+
+
+def test_non_utf8_input_is_exit_one(tmp_path, capsys):
+    src = tmp_path / "bad.csv"
+    src.write_bytes(b"\xff\xfe1,2\n")
+    assert run(["count", "--in", str(src)]) == 1
+    assert capsys.readouterr().err == f"dimest: error: {src}: not valid UTF-8\n"
+
+
+def test_module_entry_point_runs():
+    src = str(Path(dimest.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "dimest.cli", "--version"],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src},
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == f"dimest {dimest.__version__}\n"
 
 
 def test_bad_epsilons_flag(tmp_path, capsys):
