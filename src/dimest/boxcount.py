@@ -16,10 +16,19 @@ checkable property rather than a tautology.
 Occupancy is stored sparsely (occupied cells only) keyed by integer index
 vectors, which scales to millions of points; cells are kept in lexicographic
 index order so all downstream reductions are deterministic.
+
+On a dyadic schedule, with every scale exactly ``2.0**-k`` for an integer
+k >= 0, the points are indexed only at the finest scale k_max: dividing by
+``2**-k`` is then an exact multiplication, so
+``floor(y * 2**k) == floor(y * 2**k_max) >> (k_max - k)`` (the arithmetic
+shift floors negative indices too), and each coarser histogram is the finer
+one's cells shifted and merged. Other schedules, negative k among them (where
+``y / 2**-k`` can round a tiny negative ``y`` to -0.0), index every scale.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -36,6 +45,7 @@ __all__ = [
     "CountSeries",
     "VolumeEstimate",
     "count_boxes",
+    "resolve_anchor",
     "occupancy_series",
     "count_series",
     "count_series_from_histograms",
@@ -45,6 +55,10 @@ __all__ = [
 
 # Natural-scales cost of the fine-grid dilation grows as (extent/epsilon)**d.
 VOLUME_MAX_DIM = 3
+
+# Packed keys spanning at most this many cells are tallied in a dense array
+# (8 MB of int64) rather than sorted.
+_DENSE_CELLS = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,28 +157,46 @@ class VolumeEstimate:
             raise InputError("volume estimate must be positive")
 
 
-def _unique_index_counts(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unique rows of an int index array with counts, lexicographically sorted.
+def _unique_index_counts(idx: np.ndarray, weights=None) -> tuple[np.ndarray, np.ndarray]:
+    """Unique rows of an int index array, lexicographically sorted, with counts.
 
+    A row counts ``weights[i]`` when given, else 1; sums are exact int64.
     Packs rows into mixed-radix scalar keys when the index spans allow it,
     which is much faster than row-wise unique and bit-identical to it.
     """
-    if idx.shape[0] == 0 or idx.shape[1] == 1:
-        uniq, counts = np.unique(idx.ravel(), return_counts=True)
-        return uniq.reshape(-1, 1), counts
-    lo = idx.min(axis=0)
-    span = (idx.max(axis=0) - lo + 1).astype(object)
-    capacity = 1
-    for s in span:
-        capacity *= int(s)
+    # Column by column: numpy reduces an (n, d) array along axis 0, and
+    # broadcasts over its rows, an order of magnitude slower.
+    cols = idx.T
+    lo = np.array([col.min() for col in cols])
+    dims = tuple(int(col.max() - low + 1) for col, low in zip(cols, lo))
+    capacity = math.prod(dims)
     if capacity >= 2**63:
-        uniq, counts = np.unique(idx, axis=0, return_counts=True)
-        return uniq, counts
-    dims = tuple(int(s) for s in span)
-    keys = np.ravel_multi_index(tuple((idx - lo).T), dims)
-    ukeys, counts = np.unique(keys, return_counts=True)
+        # Too wide to pack: row-wise unique, rows numbered in order.
+        rows, keys = np.unique(idx, axis=0, return_inverse=True)
+        return rows, _dense_tally(keys.ravel(), weights, rows.shape[0])
+    keys = cols[0] - lo[0]  # C-order mixed-radix packing, as np.ravel_multi_index
+    for col, low, size in zip(cols[1:], lo[1:], dims[1:]):
+        keys = keys * size + (col - low)
+    if capacity <= _DENSE_CELLS:
+        tally = _dense_tally(keys, weights, capacity)
+        ukeys = np.flatnonzero(tally)
+        counts = tally[ukeys]
+    elif weights is None:
+        ukeys, counts = np.unique(keys, return_counts=True)
+    else:
+        order = np.argsort(keys, kind="stable")  # finer rows come in sorted runs
+        keys = keys[order]
+        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        ukeys, counts = keys[starts], np.add.reduceat(weights[order], starts)
     rows = np.stack(np.unravel_index(ukeys, dims), axis=1).astype(np.int64) + lo
     return rows, counts
+
+
+def _dense_tally(keys: np.ndarray, weights, size: int) -> np.ndarray:
+    """Summed weights (1 per key without them) of each key in ``range(size)``."""
+    tally = np.zeros(size, dtype=np.int64)
+    np.add.at(tally, keys, 1 if weights is None else weights)
+    return tally
 
 
 def count_boxes(cloud: PointCloud, grid: GridSpec) -> tuple[int, OccupancyHistogram]:
@@ -179,8 +211,8 @@ def count_boxes(cloud: PointCloud, grid: GridSpec) -> tuple[int, OccupancyHistog
     return hist.occupied, hist
 
 
-def _resolve_anchor(cloud: PointCloud, anchor) -> np.ndarray:
-    """Default the grid anchor to the bounding-box minimum of the cloud."""
+def resolve_anchor(cloud: PointCloud, anchor=None) -> np.ndarray:
+    """The grid anchor: ``anchor`` checked, or the cloud's bounding-box minimum."""
     if anchor is None:
         return bounding_box(cloud).min
     vec = np.asarray(anchor, dtype=float)
@@ -197,18 +229,32 @@ def occupancy_series(
 ) -> list[OccupancyHistogram]:
     """Occupancy histograms at every scheduled scale with a shared anchor.
 
-    Scales are independent pure computations; with ``workers > 1`` they run
-    on a thread pool and the result is identical to the sequential one.
+    On a dyadic schedule (every scale exactly ``2**-k``, integer k >= 0) the
+    points are indexed once, at the finest scale, and each coarser histogram
+    is the next finer one's occupied cells shifted right by the difference
+    in k and merged; ``workers`` is ignored there. Any other schedule counts
+    each scale from the points, on a thread pool when ``workers > 1``. Both
+    give the same histograms bit for bit.
     """
-    resolved = _resolve_anchor(cloud, anchor)
+    resolved = resolve_anchor(cloud, anchor)
 
     def one(eps: float) -> OccupancyHistogram:
         return count_boxes(cloud, GridSpec(anchor=resolved, epsilon=eps))[1]
 
+    ks, epsilons = schedule.ks, schedule.epsilons
+    if np.all(ks == np.floor(ks)) and np.all(ks >= 0) and np.array_equal(epsilons, 2.0**-ks):
+        hists = [one(epsilons[-1])]
+        for i in range(len(schedule) - 2, -1, -1):
+            finer = hists[-1]
+            # |index| < 2**62, so shifting by 63 floors like any larger shift.
+            shift = min(int(ks[i + 1] - ks[i]), 63)
+            rows, counts = _unique_index_counts(finer.indices >> shift, finer.counts)
+            hists.append(OccupancyHistogram(float(epsilons[i]), rows, counts, finer.total))
+        return hists[::-1]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, schedule.epsilons))
-    return [one(eps) for eps in schedule.epsilons]
+            return list(pool.map(one, epsilons))
+    return [one(eps) for eps in epsilons]
 
 
 def count_series_from_histograms(
@@ -233,7 +279,7 @@ def count_series(
     workers: int = 1,
 ) -> CountSeries:
     """Occupied-cell counts n(epsilon) over the schedule, k ascending."""
-    resolved = _resolve_anchor(cloud, anchor)
+    resolved = resolve_anchor(cloud, anchor)
     hists = occupancy_series(cloud, schedule, anchor=resolved, workers=workers)
     return count_series_from_histograms(hists, schedule, resolved)
 

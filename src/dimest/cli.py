@@ -24,9 +24,9 @@ import numpy as np
 
 from . import __version__
 from .boxcount import (
-    _resolve_anchor,
     count_series_from_histograms,
     occupancy_series,
+    resolve_anchor,
     volume_estimate,
 )
 from .errors import InputError, NumericalError
@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="grid anchor: cloud bounding-box minimum (default) or the origin",
         )
         p.add_argument(
-            "--workers", type=int, default=1, help="threads for per-scale counting"
+            "--workers", type=int, default=1, help="threads for counting non-dyadic scales"
         )
 
     cnt = sub.add_parser("count", help="occupied-box counts per scale")
@@ -211,7 +211,7 @@ def _cmd_generate(args) -> int:
 def _load_with_schedule(args):
     cloud = load_points_csv(args.infile)
     schedule = _resolve_schedule(args)
-    anchor = _resolve_anchor(cloud, _anchor_override(args, cloud))
+    anchor = resolve_anchor(cloud, _anchor_override(args, cloud))
     hists = occupancy_series(cloud, schedule, anchor=anchor, workers=args.workers)
     return cloud, schedule, anchor, hists
 

@@ -36,6 +36,7 @@ __all__ = [
     "InequalityVerdict",
     "DimensionReport",
     "loglog_fit",
+    "entropy_fit",
     "two_scale_extrapolation",
     "build_report",
     "REPORT_JSON_SCHEMA",
@@ -98,6 +99,20 @@ def loglog_fit(xs, ys) -> FitResult:
         n_points=int(x.size),
         residuals=residuals,
     )
+
+
+def entropy_fit(series) -> FitResult:
+    """Least-squares fit of an EntropySeries' S(epsilon) against log2(1/epsilon).
+
+    Raises:
+        DegenerateFitError: when the series is identically zero (a single
+            occupied cell at every scale carries no information to regress).
+    """
+    if not np.any(series.entropy_bits > 0):
+        raise DegenerateFitError(
+            "degenerate fit: entropy series carries no information at any scale"
+        )
+    return loglog_fit(series.ks, series.entropy_bits)
 
 
 def two_scale_extrapolation(k0: float, n0: float, k1: float, n1: float) -> float:
@@ -274,12 +289,7 @@ def build_report(
         raise InputError("mismatched schedules: count and entropy series differ")
 
     fit_box = loglog_fit(count_series.ks, np.log2(count_series.counts))
-    entropy_bits = np.asarray(entropy_series.entropy_bits, dtype=float)
-    if not np.any(entropy_bits > 0):
-        raise DegenerateFitError(
-            "degenerate fit: entropy series carries no information at any scale"
-        )
-    fit_info = loglog_fit(entropy_series.ks, entropy_bits)
+    fit_info = entropy_fit(entropy_series)
 
     dim_box_volume = None
     if volume_estimates is not None:

@@ -6,8 +6,9 @@ lines, commas separate coordinates, every line has as many of them and each
 is a finite float as ``float()`` reads it. Floats are written with ``repr``,
 so a save/load round trip is bit exact. A file of leading blank and ASCII
 ``#`` lines then plain decimal rows, as ``save_points_csv`` writes, is read by
-one ``np.loadtxt`` call; any other by a line-by-line parser, the only source
-of error messages. Both paths accept exactly the same inputs, bit for bit.
+one ``np.loadtxt`` call, with lines of only spaces and tabs emptied first; any
+other by a line-by-line parser, the only source of error messages. Both paths
+accept exactly the same inputs, bit for bit.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ __all__ = ["load_points_csv", "save_points_csv", "atomic_write_text"]
 _HEADER = re.compile(rb"(?:(?:#[\t -~]*|[ \t]*)(?:\r\n?|\n))*")
 # Rows that np.loadtxt either rejects or reads exactly as float() does.
 _PLAIN_ROWS = re.compile(rb"[0-9+\-.eE,\r\n \t]*")
+# A line of only spaces and tabs after a row: np.loadtxt rejects it, the
+# parser skips it, and emptied it is a blank line np.loadtxt skips too.
+_BLANK_ROW = re.compile(rb"([\r\n])[ \t]+(?![^\r\n])")
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -75,6 +79,9 @@ def load_points_csv(path) -> PointCloud:
     if start < len(data) and _PLAIN_ROWS.fullmatch(data, start):
         stream = io.BytesIO(data)
         stream.seek(start)
+        # Rows as save_points_csv writes them hold no space or tab to blank.
+        if data.find(b" ", start) >= 0 or data.find(b"\t", start) >= 0:
+            stream = io.BytesIO(_BLANK_ROW.sub(rb"\1", data[start:]))
         try:
             points = np.loadtxt(stream, delimiter=",", ndmin=2)
         except ValueError:  # left to the line parser, which names the line

@@ -25,9 +25,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .boxcount import OccupancyHistogram, _resolve_anchor, occupancy_series
-from .errors import DegenerateFitError, InputError
-from .estimation import FitResult, loglog_fit
+from .boxcount import OccupancyHistogram, occupancy_series, resolve_anchor
+from .errors import InputError
+from .estimation import entropy_fit
 from .geometry import PointCloud, ScaleSchedule
 
 __all__ = [
@@ -151,23 +151,9 @@ def entropy_series(
     workers: int = 1,
 ) -> EntropySeries:
     """S(epsilon) over the schedule from the cloud's occupancy histograms."""
-    resolved = _resolve_anchor(cloud, anchor)
+    resolved = resolve_anchor(cloud, anchor)
     hists = occupancy_series(cloud, schedule, anchor=resolved, workers=workers)
     return entropy_series_from_histograms(hists, schedule, resolved)
-
-
-def entropy_fit(series: EntropySeries) -> FitResult:
-    """Least-squares fit of S(epsilon) against log2(1/epsilon).
-
-    Raises:
-        DegenerateFitError: when the series is identically zero (a single
-            occupied cell at every scale carries no information to regress).
-    """
-    if not np.any(series.entropy_bits > 0):
-        raise DegenerateFitError(
-            "degenerate fit: entropy series carries no information at any scale"
-        )
-    return loglog_fit(series.ks, series.entropy_bits)
 
 
 def information_dimension(series: EntropySeries) -> float:

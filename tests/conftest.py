@@ -24,7 +24,7 @@ from dimest import (
 from dimest.boxcount import (
     count_series_from_histograms,
     occupancy_series,
-    _resolve_anchor,
+    resolve_anchor,
 )
 from dimest.infodim import entropy_series_from_histograms
 
@@ -33,7 +33,7 @@ CANTOR_LEVEL = 12
 
 def make_series(cloud: PointCloud, schedule: ScaleSchedule, anchor=None):
     """Count and entropy series off one shared occupancy computation."""
-    resolved = _resolve_anchor(cloud, anchor)
+    resolved = resolve_anchor(cloud, anchor)
     hists = occupancy_series(cloud, schedule, anchor=resolved)
     return (
         count_series_from_histograms(hists, schedule, resolved),

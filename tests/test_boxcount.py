@@ -6,6 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import dimest.boxcount
 from dimest import (
     GridSpec,
     InputError,
@@ -15,12 +19,13 @@ from dimest import (
     count_series,
     ifs_chaos_game,
     loglog_fit,
+    occupancy_series,
     sierpinski_spec,
     uniform_segment,
     volume_dimension,
     volume_estimate,
 )
-from dimest.boxcount import _unique_index_counts
+from dimest.boxcount import _unique_index_counts, resolve_anchor
 
 
 class TestCountBoxes:
@@ -151,6 +156,15 @@ class TestCountSeries:
         assert np.array_equal(seq.counts, par.counts)
         assert np.array_equal(seq.epsilons, par.epsilons)
 
+    def test_parallel_equals_sequential_explicit_scales(self, sierpinski_cloud):
+        # Non-dyadic scales take the per-scale path, where the pool runs.
+        sched = ScaleSchedule.from_epsilons([0.3, 0.2, 0.1, 0.05, 0.03, 0.02])
+        seq = occupancy_series(sierpinski_cloud, sched, workers=1)
+        par = occupancy_series(sierpinski_cloud, sched, workers=4)
+        for a, b in zip(seq, par, strict=True):
+            assert a.indices.tobytes() == b.indices.tobytes()
+            assert a.counts.tobytes() == b.counts.tobytes()
+
     def test_power_of_two_similarity_gives_identical_counts(self):
         cloud = ifs_chaos_game(sierpinski_spec(10**4, rng_seed=3))
         sched = ScaleSchedule.dyadic(2, 6)
@@ -174,6 +188,152 @@ class TestCountSeries:
         dim_base = loglog_fit(base.ks, np.log2(base.counts)).slope
         dim_scaled = loglog_fit(scaled.ks, np.log2(scaled.counts)).slope
         assert dim_scaled == pytest.approx(dim_base, abs=0.02)
+
+
+def per_scale(cloud, schedule, anchor=None):
+    """Reference: every scale counted from the points."""
+    resolved = resolve_anchor(cloud, anchor)
+    return [count_boxes(cloud, GridSpec(resolved, eps))[1] for eps in schedule.epsilons]
+
+
+def assert_same_histograms(got, expected):
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert type(g.epsilon) is float and g.epsilon == e.epsilon
+        assert g.total == e.total
+        assert g.indices.dtype == e.indices.dtype == np.int64
+        assert g.counts.dtype == e.counts.dtype == np.int64
+        assert g.indices.shape == e.indices.shape
+        assert g.indices.tobytes() == e.indices.tobytes()
+        assert g.counts.tobytes() == e.counts.tobytes()
+
+
+@pytest.fixture
+def count_boxes_calls(monkeypatch):
+    calls = []
+    original = dimest.boxcount.count_boxes
+
+    def spy(cloud, grid):
+        calls.append(grid.epsilon)
+        return original(cloud, grid)
+
+    monkeypatch.setattr(dimest.boxcount, "count_boxes", spy)
+    return calls
+
+
+@st.composite
+def dyadic_cases(draw):
+    """A cloud (d = 1..3, duplicates, tiny or plain scale), anchor and dyadic schedule."""
+    d = draw(st.integers(min_value=1, max_value=3))
+    unit = draw(st.sampled_from([1.0, 2.0**-40, 1e-300]))
+    coord = st.floats(min_value=-8, max_value=8, allow_nan=False).map(lambda v: v * unit)
+    points = draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=1, max_size=30))
+    points += [points[i] for i in draw(st.lists(st.integers(0, len(points) - 1), max_size=10))]
+    cloud = PointCloud(np.array(points))
+    offset = draw(st.floats(min_value=0, max_value=4)) * unit
+    anchor = draw(
+        st.sampled_from(
+            [
+                None,
+                cloud.points.min(axis=0) - offset,  # below the points
+                cloud.points.max(axis=0) + offset,  # above: negative indices
+                np.zeros(d),
+            ]
+        )
+    )
+    ks = sorted(draw(st.sets(st.integers(min_value=0, max_value=70), min_size=1, max_size=6)))
+    if draw(st.booleans()):
+        schedule = ScaleSchedule.dyadic(ks[0], ks[-1])
+    else:
+        schedule = ScaleSchedule.from_epsilons([2.0**-k for k in ks])
+    return cloud, anchor, schedule
+
+
+class TestDyadicHierarchy:
+    """Dyadic schedules count once at the finest scale and shift-merge upward."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=dyadic_cases())
+    def test_matches_per_scale_bit_for_bit(self, case):
+        cloud, anchor, schedule = case
+        try:
+            expected = per_scale(cloud, schedule, anchor)
+        except InputError as exc:
+            with pytest.raises(InputError) as raised:
+                occupancy_series(cloud, schedule, anchor=anchor)
+            assert str(raised.value) == str(exc)
+        else:
+            assert_same_histograms(occupancy_series(cloud, schedule, anchor=anchor), expected)
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            ScaleSchedule.dyadic(3, 9),
+            ScaleSchedule.dyadic(0, 4),
+            ScaleSchedule.from_epsilons([1.0, 0.125, 2.0**-9]),
+        ],
+    )
+    def test_dyadic_schedules_index_points_once(self, count_boxes_calls, schedule):
+        cloud = ifs_chaos_game(sierpinski_spec(5000, rng_seed=1))
+        assert_same_histograms(occupancy_series(cloud, schedule), per_scale(cloud, schedule))
+        assert count_boxes_calls == [schedule.epsilons[-1]]
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            ScaleSchedule.dyadic(-2, 3),
+            ScaleSchedule.from_epsilons([4.0, 2.0, 1.0]),
+            ScaleSchedule.from_epsilons([0.3, 0.2, 0.1]),
+            ScaleSchedule(epsilons=np.array([0.3, 0.15]), ks=np.array([1.0, 2.0])),
+            ScaleSchedule(epsilons=np.array([0.5, 0.25]), ks=np.array([1.5, 2.5])),
+        ],
+    )
+    def test_other_schedules_count_every_scale(self, count_boxes_calls, schedule):
+        cloud = ifs_chaos_game(sierpinski_spec(5000, rng_seed=1))
+        hists = occupancy_series(cloud, schedule)
+        assert count_boxes_calls == list(schedule.epsilons)
+        assert_same_histograms(hists, per_scale(cloud, schedule))
+
+    def test_negative_k_keeps_per_scale_rounding(self):
+        # -5e-324 / 2 rounds to -0.0, so at k = -1 the point sits in cell 0,
+        # where shifting the k = 0 cell (-1) would give -1.
+        cloud = PointCloud(np.array([[-5e-324]]))
+        coarse, fine = occupancy_series(cloud, ScaleSchedule.dyadic(-1, 0), anchor=[0.0])
+        assert coarse.indices.tolist() == [[0]]
+        assert fine.indices.tolist() == [[-1]]
+
+    def test_shift_beyond_index_width(self):
+        # A k gap of 100 floors every index to 0 or -1, as counting at k = 0 does.
+        cloud = PointCloud(np.array([[3e-25, -1e-25], [-2e-25, 1e-25], [3e-25, -1e-25]]))
+        schedule = ScaleSchedule.from_epsilons([1.0, 2.0**-100])
+        got = occupancy_series(cloud, schedule, anchor=[0.0, 0.0])
+        assert_same_histograms(got, per_scale(cloud, schedule, [0.0, 0.0]))
+        assert got[0].cells() == {(-1, 0): 1, (0, -1): 2}
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            ScaleSchedule.dyadic(58, 62),
+            ScaleSchedule.from_epsilons([2.0**-58, 0.75 * 2.0**-62]),
+        ],
+    )
+    def test_index_overflow_same_error_on_both_paths(self, schedule):
+        cloud = PointCloud(np.array([[0.0, 0.0], [1.0, 0.5]]))
+        with pytest.raises(InputError, match="^box index overflow: epsilon too small"):
+            occupancy_series(cloud, schedule)
+
+    def test_single_point(self):
+        cloud = PointCloud(np.array([[0.3, -0.7, 2.0]]))
+        for hist in occupancy_series(cloud, ScaleSchedule.dyadic(0, 20)):
+            assert hist.indices.tolist() == [[0, 0, 0]]
+            assert hist.counts.tolist() == [1]
+
+    def test_workers_ignored_on_dyadic_schedules(self, count_boxes_calls, sierpinski_cloud):
+        sched = ScaleSchedule.dyadic(2, 7)
+        seq = occupancy_series(sierpinski_cloud, sched, workers=1)
+        par = occupancy_series(sierpinski_cloud, sched, workers=4)
+        assert count_boxes_calls == [sched.epsilons[-1]] * 2
+        assert_same_histograms(par, seq)
 
 
 class TestVolumeEstimate:

@@ -262,6 +262,24 @@ READER_CASES = DIVERGENCES + [
     "# caf\u00e9\n1,2\n",
     "\t# indented\n1,2\n",
     "1,2\n3,4",
+] + [
+    # Whitespace-only lines among the rows (np.loadtxt rejects them unblanked).
+    "1,2\n\t\n3,4\n",
+    "1,2\n \t \n3,4\n",
+    "1,2\n  ",
+    "1,2\n3,4\n\t",
+    "# h\n1,2\n  \n",
+    "1,2\r\n  \r\n3,4\r\n",
+    "1,2\r\n\t\r\n3,4",
+    "1,2\r  \r3,4\r",
+    "1,2\n  \r3,4\n",
+    "1,2\n \r\n3,4\n",
+    "  \n1,2\n \t\n3,4\n",
+    "1,2\n  \n3\n",
+    "1,2\n\t\n3,x\n",
+    "1,2\n  \n3,inf\n",
+    "1,2\n \n 3 , 4 \n",
+    "1,2\n  \n\n  \n",
 ]
 
 
@@ -300,6 +318,23 @@ def loadtxt_calls(monkeypatch):
     return calls
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["1,2\n  \n3,4\n", "1,2\n3,4\n\t", "# h\r\n1,2\r\n \t\r\n3,4\r\n", " 1 , 2 \n \n"],
+)
+def test_whitespace_only_lines_stay_on_loadtxt(tmp_path, monkeypatch, text):
+    returned = []
+    original = np.loadtxt
+
+    def spy(*args, **kwargs):
+        returned.append(original(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    assert_reads_as_reference(tmp_path / "case.csv", text)
+    assert len(returned) == 1  # np.loadtxt read the file; the parser never ran
+
+
 @pytest.mark.parametrize("text", DIVERGENCES)
 def test_divergences_skip_loadtxt(tmp_path, loadtxt_calls, text):
     assert_reads_as_reference(tmp_path / "case.csv", text)
@@ -318,7 +353,8 @@ def csv_texts(draw):
     """Whole CSV lines (rows, comments, blanks, junk) joined by varied breaks."""
     row = st.lists(finite_floats.map(repr), min_size=1, max_size=3).map(",".join)
     junk = st.lists(st.sampled_from(_TOKENS), max_size=6).map("".join)
-    line = st.one_of(row, row, st.just(""), st.just("# comment"), junk)
+    blank = st.text(alphabet=" \t", min_size=1, max_size=3)
+    line = st.one_of(row, row, st.just(""), st.just("# comment"), junk, blank)
     breaks = st.sampled_from(["\n", "\n", "\r\n", "\r", "\x0b", "\u2028"])
     lines = draw(st.lists(st.tuples(line, breaks), max_size=8))
     return "".join(text + end for text, end in lines)
