@@ -29,7 +29,6 @@ one's cells shifted and merged. Other schedules, negative k among them (where
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,7 +36,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import InputError
-from .estimation import loglog_fit
+from .estimation import volume_scaling_dimension
 from .geometry import GridSpec, PointCloud, ScaleSchedule, bounding_box, box_indices
 
 __all__ = [
@@ -222,19 +221,15 @@ def resolve_anchor(cloud: PointCloud, anchor=None) -> np.ndarray:
 
 
 def occupancy_series(
-    cloud: PointCloud,
-    schedule: ScaleSchedule,
-    anchor=None,
-    workers: int = 1,
+    cloud: PointCloud, schedule: ScaleSchedule, anchor=None
 ) -> list[OccupancyHistogram]:
     """Occupancy histograms at every scheduled scale with a shared anchor.
 
     On a dyadic schedule (every scale exactly ``2**-k``, integer k >= 0) the
     points are indexed once, at the finest scale, and each coarser histogram
     is the next finer one's occupied cells shifted right by the difference
-    in k and merged; ``workers`` is ignored there. Any other schedule counts
-    each scale from the points, on a thread pool when ``workers > 1``. Both
-    give the same histograms bit for bit.
+    in k and merged. Any other schedule counts each scale from the points in
+    turn. Both give the same histograms bit for bit.
     """
     resolved = resolve_anchor(cloud, anchor)
 
@@ -251,9 +246,6 @@ def occupancy_series(
             rows, counts = _unique_index_counts(finer.indices >> shift, finer.counts)
             hists.append(OccupancyHistogram(float(epsilons[i]), rows, counts, finer.total))
         return hists[::-1]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, epsilons))
     return [one(eps) for eps in epsilons]
 
 
@@ -272,15 +264,10 @@ def count_series_from_histograms(
     )
 
 
-def count_series(
-    cloud: PointCloud,
-    schedule: ScaleSchedule,
-    anchor=None,
-    workers: int = 1,
-) -> CountSeries:
+def count_series(cloud: PointCloud, schedule: ScaleSchedule, anchor=None) -> CountSeries:
     """Occupied-cell counts n(epsilon) over the schedule, k ascending."""
     resolved = resolve_anchor(cloud, anchor)
-    hists = occupancy_series(cloud, schedule, anchor=resolved, workers=workers)
+    hists = occupancy_series(cloud, schedule, anchor=resolved)
     return count_series_from_histograms(hists, schedule, resolved)
 
 
@@ -329,11 +316,7 @@ def volume_estimate(cloud: PointCloud, epsilon: float) -> VolumeEstimate:
 def volume_dimension(cloud: PointCloud, schedule: ScaleSchedule) -> float:
     """Dimension from neighborhood-volume scaling over the schedule.
 
-    Fits the slope m of log2(volume) against log2(epsilon) and returns
-    ``d - m``: a set of dimension s has volume ~ eps**(d-s).
+    The fit is :func:`~dimest.estimation.volume_scaling_dimension`, the one
+    :func:`~dimest.estimation.build_report` uses for ``dim_box_volume``.
     """
-    estimates = [volume_estimate(cloud, eps) for eps in schedule.epsilons]
-    fit = loglog_fit(
-        np.log2(schedule.epsilons), np.log2([v.volume for v in estimates])
-    )
-    return float(cloud.dim - fit.slope)
+    return volume_scaling_dimension([volume_estimate(cloud, eps) for eps in schedule.epsilons])

@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="grid anchor: cloud bounding-box minimum (default) or the origin",
         )
         p.add_argument(
-            "--workers", type=int, default=1, help="threads for counting non-dyadic scales"
+            "--workers", type=int, default=1, help="ignored (no-op), kept so old command lines run"
         )
 
     cnt = sub.add_parser("count", help="occupied-box counts per scale")
@@ -212,7 +212,7 @@ def _load_with_schedule(args):
     cloud = load_points_csv(args.infile)
     schedule = _resolve_schedule(args)
     anchor = resolve_anchor(cloud, _anchor_override(args, cloud))
-    hists = occupancy_series(cloud, schedule, anchor=anchor, workers=args.workers)
+    hists = occupancy_series(cloud, schedule, anchor=anchor)
     return cloud, schedule, anchor, hists
 
 
@@ -261,8 +261,8 @@ def _cmd_report(args) -> int:
     volumes = None
     if args.volume:
         volumes = [volume_estimate(cloud, eps) for eps in schedule.epsilons]
-    # Workers are deliberately absent: parallelism never changes a number,
-    # so reports from any worker count are byte identical.
+    # The no-op thread-count flag is deliberately absent, so reports from
+    # any setting of it are byte identical.
     config = {
         "command": "report",
         "input": args.infile,

@@ -37,6 +37,7 @@ __all__ = [
     "DimensionReport",
     "loglog_fit",
     "entropy_fit",
+    "volume_scaling_dimension",
     "two_scale_extrapolation",
     "build_report",
     "REPORT_JSON_SCHEMA",
@@ -113,6 +114,22 @@ def entropy_fit(series) -> FitResult:
             "degenerate fit: entropy series carries no information at any scale"
         )
     return loglog_fit(series.ks, series.entropy_bits)
+
+
+def volume_scaling_dimension(volume_estimates: Sequence) -> float:
+    """``d - m`` for the slope m of log2(volume) on log2(epsilon): Vol ~ eps**(d-s).
+
+    Raises:
+        InputError: estimates from different ambient dimensions d.
+    """
+    ambient = {v.ambient_dim for v in volume_estimates}
+    if len(ambient) > 1:
+        raise InputError("volume estimates mix ambient dimensions")
+    fit = loglog_fit(
+        np.log2([v.epsilon for v in volume_estimates]),
+        np.log2([v.volume for v in volume_estimates]),
+    )
+    return float(ambient.pop() - fit.slope)
 
 
 def two_scale_extrapolation(k0: float, n0: float, k1: float, n1: float) -> float:
@@ -293,14 +310,9 @@ def build_report(
 
     dim_box_volume = None
     if volume_estimates is not None:
-        vol_eps = np.array([v.epsilon for v in volume_estimates], dtype=float)
-        if not np.array_equal(vol_eps, count_series.epsilons):
+        if not np.array_equal([v.epsilon for v in volume_estimates], count_series.epsilons):
             raise InputError("mismatched schedules: volume estimates differ")
-        ambient = {v.ambient_dim for v in volume_estimates}
-        if len(ambient) != 1:
-            raise InputError("volume estimates mix ambient dimensions")
-        vol_fit = loglog_fit(np.log2(vol_eps), np.log2([v.volume for v in volume_estimates]))
-        dim_box_volume = float(ambient.pop() - vol_fit.slope)
+        dim_box_volume = volume_scaling_dimension(volume_estimates)
 
     extrapolation = None
     if len(count_series.ks) >= 2:

@@ -123,7 +123,14 @@ def bounding_box(cloud: PointCloud) -> BoundingBox:
     """
     if len(cloud) == 0:
         raise InputError("empty point set")
-    return BoundingBox(cloud.points.min(axis=0), cloud.points.max(axis=0))
+    # Columns reduce ~10x faster than axis 0, but may give a +-0.0 extremum
+    # the other sign; only then is the axis-0 result used, so the bits agree.
+    cols = cloud.points.T
+    lo = np.array([col.min() for col in cols])
+    hi = np.array([col.max() for col in cols])
+    if not (lo.all() and hi.all()):
+        lo, hi = cloud.points.min(axis=0), cloud.points.max(axis=0)
+    return BoundingBox(lo, hi)
 
 
 @dataclass(frozen=True, eq=False)

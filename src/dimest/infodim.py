@@ -14,7 +14,7 @@ Terms with p_i = 0 are dropped at construction (0*log 0 := 0): only occupied
 cells enter. Entropy accumulates through compensated summation so the
 sum-to-one and upper-bound checks stay meaningful at millions of cells, and
 cells are consumed in sorted index order so results do not depend on how the
-counting was parallelized.
+histograms were built.
 """
 
 from __future__ import annotations
@@ -144,15 +144,10 @@ def entropy_series_from_histograms(
     )
 
 
-def entropy_series(
-    cloud: PointCloud,
-    schedule: ScaleSchedule,
-    anchor=None,
-    workers: int = 1,
-) -> EntropySeries:
+def entropy_series(cloud: PointCloud, schedule: ScaleSchedule, anchor=None) -> EntropySeries:
     """S(epsilon) over the schedule from the cloud's occupancy histograms."""
     resolved = resolve_anchor(cloud, anchor)
-    hists = occupancy_series(cloud, schedule, anchor=resolved, workers=workers)
+    hists = occupancy_series(cloud, schedule, anchor=resolved)
     return entropy_series_from_histograms(hists, schedule, resolved)
 
 

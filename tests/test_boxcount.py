@@ -15,8 +15,10 @@ from dimest import (
     InputError,
     PointCloud,
     ScaleSchedule,
+    build_report,
     count_boxes,
     count_series,
+    entropy_series,
     ifs_chaos_game,
     loglog_fit,
     occupancy_series,
@@ -148,22 +150,6 @@ class TestCountSeries:
             shifted = count_series(cloud, sched, anchor=rng.uniform(-1, 0, 2)).counts
             assert np.all(shifted <= 4 * base)
             assert np.all(base <= 4 * shifted)
-
-    def test_parallel_equals_sequential(self, sierpinski_cloud):
-        sched = ScaleSchedule.dyadic(2, 7)
-        seq = count_series(sierpinski_cloud, sched, workers=1)
-        par = count_series(sierpinski_cloud, sched, workers=4)
-        assert np.array_equal(seq.counts, par.counts)
-        assert np.array_equal(seq.epsilons, par.epsilons)
-
-    def test_parallel_equals_sequential_explicit_scales(self, sierpinski_cloud):
-        # Non-dyadic scales take the per-scale path, where the pool runs.
-        sched = ScaleSchedule.from_epsilons([0.3, 0.2, 0.1, 0.05, 0.03, 0.02])
-        seq = occupancy_series(sierpinski_cloud, sched, workers=1)
-        par = occupancy_series(sierpinski_cloud, sched, workers=4)
-        for a, b in zip(seq, par, strict=True):
-            assert a.indices.tobytes() == b.indices.tobytes()
-            assert a.counts.tobytes() == b.counts.tobytes()
 
     def test_power_of_two_similarity_gives_identical_counts(self):
         cloud = ifs_chaos_game(sierpinski_spec(10**4, rng_seed=3))
@@ -328,13 +314,6 @@ class TestDyadicHierarchy:
             assert hist.indices.tolist() == [[0, 0, 0]]
             assert hist.counts.tolist() == [1]
 
-    def test_workers_ignored_on_dyadic_schedules(self, count_boxes_calls, sierpinski_cloud):
-        sched = ScaleSchedule.dyadic(2, 7)
-        seq = occupancy_series(sierpinski_cloud, sched, workers=1)
-        par = occupancy_series(sierpinski_cloud, sched, workers=4)
-        assert count_boxes_calls == [sched.epsilons[-1]] * 2
-        assert_same_histograms(par, seq)
-
 
 class TestVolumeEstimate:
     def test_singleton_disk_area(self):
@@ -391,3 +370,14 @@ class TestVolumeDimension:
         cloud = uniform_segment(10**4)
         dim = volume_dimension(cloud, ScaleSchedule.dyadic(4, 7))
         assert dim == pytest.approx(1.0, abs=0.1)
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [ScaleSchedule.dyadic(2, 5), ScaleSchedule.from_epsilons([0.2, 0.12, 0.07, 0.05])],
+    )
+    def test_equals_report_volume_dimension(self, schedule):
+        cloud = ifs_chaos_game(sierpinski_spec(2000, rng_seed=4))
+        counts, entropies = count_series(cloud, schedule), entropy_series(cloud, schedule)
+        volumes = [volume_estimate(cloud, eps) for eps in schedule.epsilons]
+        report = build_report(counts, entropies, volume_estimates=volumes)
+        assert volume_dimension(cloud, schedule) == report.dim_box_volume

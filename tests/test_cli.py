@@ -229,17 +229,16 @@ def test_report_parallelism_is_byte_deterministic(tmp_path):
 
 
 def test_report_parallelism_explicit_scales_is_byte_deterministic(tmp_path):
-    # Non-dyadic scales are counted one by one, on the thread pool.
     src = tmp_path / "cloud.csv"
     assert run(["generate", "henon", "--samples", "20000", "--out", str(src)]) == 0
     outputs = []
-    for workers in ("1", "3"):
-        flags = ["--in", str(src), "--epsilons", "0.3,0.2,0.1,0.05,0.03", "--workers", workers]
-        report, hist = tmp_path / f"r{workers}.json", tmp_path / f"h{workers}.json"
+    for i, workers in enumerate(([], ["--workers", "1"], ["--workers", "3"])):
+        flags = ["--in", str(src), "--epsilons", "0.3,0.2,0.1,0.05,0.03"] + workers
+        report, hist = tmp_path / f"r{i}.json", tmp_path / f"h{i}.json"
         assert run(["report"] + flags + ["--json", str(report)]) == 0
         assert run(["count"] + flags + ["--out", str(tmp_path / "c.csv"), "--histogram", str(hist)]) == 0
         outputs.append((report.read_bytes(), hist.read_bytes()))
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_anchor_origin_mode(tmp_path, capsys):

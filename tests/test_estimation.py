@@ -251,6 +251,15 @@ class TestBuildReport:
         with pytest.raises(InputError, match="mismatched schedules"):
             build_report(cs, es, volume_estimates=vols)
 
+    def test_volume_mixed_ambient_dimensions_rejected(self):
+        cs, es = _series([1, 2, 3], [2, 4, 8])
+        vols = [
+            VolumeEstimate(epsilon=e, volume=e, resolution=e / 4, ambient_dim=d)
+            for e, d in zip(cs.epsilons, [2, 2, 3])
+        ]
+        with pytest.raises(InputError, match="^volume estimates mix ambient dimensions$"):
+            build_report(cs, es, volume_estimates=vols)
+
     def test_config_provenance_merged(self):
         cs, es = _series([1, 2, 3], [2, 4, 8])
         report = build_report(cs, es, config={"generator": "test-fixture"})

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dimest import (
@@ -61,6 +61,23 @@ class TestBoundingBox:
     def test_empty_cloud_errors(self):
         with pytest.raises(InputError, match="empty point set"):
             bounding_box(PointCloud(np.empty((0, 2))))
+
+    @settings(max_examples=300)
+    @given(
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=1, max_value=40),
+        st.lists(st.sampled_from([1.5, 3.0, -2.25, -7.0, 5e-324]), max_size=2),
+        st.data(),
+    )
+    def test_matches_axis_zero_reduction_bit_for_bit(self, d, n, nonzeros, data):
+        # At a +-0.0 extremum numpy's 1-d and axis-0 reductions can pick
+        # different signs (from 17 rows up, on SIMD builds).
+        values = st.sampled_from([0.0, -0.0] + nonzeros)
+        points = np.array(data.draw(st.lists(values, min_size=n * d, max_size=n * d))).reshape(n, d)
+        box = bounding_box(PointCloud(points))
+        for got, want in ((box.min, points.min(axis=0)), (box.max, points.max(axis=0))):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_invalid_corners(self):
         with pytest.raises(InputError):
