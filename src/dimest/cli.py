@@ -74,9 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     gen = sub.add_parser("generate", help="generate a point cloud CSV")
-    gen.add_argument(
-        "kind", choices=["henon", "cantor", "sierpinski", "segment", "square"]
-    )
+    gen.add_argument("kind", choices=list(_GENERATORS))
     gen.add_argument("--a", type=float, default=1.4, help="quadratic coefficient (default 1.4)")
     gen.add_argument("--b", type=float, default=0.3, help="linear coefficient (default 0.3)")
     gen.add_argument("--seed-x", type=float, default=0.0, help="orbit start x (default 0)")
@@ -170,41 +168,27 @@ def _emit(text: str, path) -> None:
         atomic_write_text(path, text)
 
 
+# kind -> (cloud from the flags, provenance after "dimest generate <kind>"). Names
+# are looked up at call time, so wrappers set on this module's names see each call.
+_GENERATORS = {
+    "henon": (
+        lambda a: henon_orbit(HenonParams(a.a, a.b, (a.seed_x, a.seed_y), a.transient, a.samples)),
+        lambda a: f"a={_fmt(a.a)} b={_fmt(a.b)} seed=({_fmt(a.seed_x)},{_fmt(a.seed_y)})"
+        f" transient={a.transient} samples={a.samples}",
+    ),
+    "cantor": (lambda a: cantor_points(a.level), lambda a: f"level={a.level}"),
+    "sierpinski": (
+        lambda a: ifs_chaos_game(sierpinski_spec(a.samples, a.rng_seed, a.transient)),
+        lambda a: f"samples={a.samples} rng_seed={a.rng_seed} transient={a.transient}",
+    ),
+    "segment": (lambda a: uniform_segment(a.samples), lambda a: f"samples={a.samples}"),
+    "square": (lambda a: uniform_square(a.samples), lambda a: f"samples={a.samples}"),
+}
+
+
 def _cmd_generate(args) -> int:
-    kind = args.kind
-    if kind == "henon":
-        cloud = henon_orbit(
-            HenonParams(
-                a=args.a,
-                b=args.b,
-                seed=(args.seed_x, args.seed_y),
-                transient=args.transient,
-                samples=args.samples,
-            )
-        )
-        comment = (
-            f"dimest generate henon a={_fmt(args.a)} b={_fmt(args.b)}"
-            f" seed=({_fmt(args.seed_x)},{_fmt(args.seed_y)})"
-            f" transient={args.transient} samples={args.samples}"
-        )
-    elif kind == "cantor":
-        cloud = cantor_points(args.level)
-        comment = f"dimest generate cantor level={args.level}"
-    elif kind == "sierpinski":
-        cloud = ifs_chaos_game(
-            sierpinski_spec(args.samples, rng_seed=args.rng_seed, transient=args.transient)
-        )
-        comment = (
-            f"dimest generate sierpinski samples={args.samples}"
-            f" rng_seed={args.rng_seed} transient={args.transient}"
-        )
-    elif kind == "segment":
-        cloud = uniform_segment(args.samples)
-        comment = f"dimest generate segment samples={args.samples}"
-    else:
-        cloud = uniform_square(args.samples)
-        comment = f"dimest generate square samples={args.samples}"
-    save_points_csv(cloud, args.out, comments=[comment])
+    make, about = _GENERATORS[args.kind]
+    save_points_csv(make(args), args.out, comments=[f"dimest generate {args.kind} {about(args)}"])
     return EXIT_OK
 
 

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import math
+import re
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 import dimest.boxcount
 from dimest import (
@@ -15,6 +18,7 @@ from dimest import (
     InputError,
     PointCloud,
     ScaleSchedule,
+    bounding_box,
     build_report,
     count_boxes,
     count_series,
@@ -27,7 +31,7 @@ from dimest import (
     volume_dimension,
     volume_estimate,
 )
-from dimest.boxcount import _unique_index_counts, resolve_anchor
+from dimest.boxcount import VOLUME_MAX_CELLS, _unique_index_counts, resolve_anchor
 
 
 class TestCountBoxes:
@@ -315,7 +319,74 @@ class TestDyadicHierarchy:
             assert hist.counts.tolist() == [1]
 
 
+def _full_grid_volume(cloud: PointCloud, eps: float) -> float:
+    """Reference: query every fine cell of the inflated bounding box."""
+    box = bounding_box(cloud).inflated(eps)
+    h = eps / 4.0
+    shape = tuple(max(1, int(np.ceil(w / h))) for w in box.widths)
+    tree = cKDTree(cloud.points)
+    multi = np.unravel_index(np.arange(math.prod(shape)), shape)
+    centers = np.stack([box.min[i] + (multi[i] + 0.5) * h for i in range(cloud.dim)], axis=1)
+    dist, _ = tree.query(centers, k=1, distance_upper_bound=eps * (1 + 1e-12))
+    return int(np.count_nonzero(dist <= eps)) * h**cloud.dim
+
+
+@st.composite
+def volume_cases(draw):
+    """Small clouds, d = 1..3, with epsilon from below the spacing to above the extent.
+
+    Rounded coordinates put centers exactly epsilon from points; offsets move
+    the cloud to 1e6 and to just inside the coordinate-range limit 2**48 h.
+    """
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 8))
+    coord = st.floats(0.0, 1.0)
+    pts = np.array(draw(st.lists(st.tuples(*[coord] * d), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        pts = np.round(pts * 8) / 8
+    pts = np.concatenate([pts, pts[: draw(st.integers(0, n))]])
+    floor = {1: 0.004, 2: 0.03, 3: 0.15}[d]  # keeps the reference grid small
+    eps = draw(st.sampled_from([0.125, 0.25, 0.5, 2.0]) | st.floats(floor, 3.0))
+    eps = max(eps, floor)
+    offset = draw(st.sampled_from([0.0, -2.5, 1e6, 2.0**46 * eps * 0.999 - 4]))
+    return PointCloud(pts + offset), eps
+
+
 class TestVolumeEstimate:
+    @given(volume_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_grid_bit_for_bit(self, case):
+        cloud, eps = case
+        assert volume_estimate(cloud, eps).volume == _full_grid_volume(cloud, eps)
+
+    def test_far_apart_points_stay_cheap(self):
+        # The full grid would be 4e9 x 8 fine cells.
+        cloud = PointCloud(np.array([[0.0, 0.0], [1e6, 0.0]]))
+        start = time.perf_counter()
+        est = volume_estimate(cloud, 1e-3)
+        assert time.perf_counter() - start < 0.5
+        assert est.volume == pytest.approx(2 * math.pi * 1e-6, rel=0.15)
+
+    def test_cell_budget_checked_before_any_query(self, monkeypatch):
+        def no_tree(*args, **kwargs):
+            raise AssertionError("KD-tree built past the budget")
+
+        monkeypatch.setattr(dimest.boxcount, "cKDTree", no_tree)
+        # Points 4 coarse cells apart: 30**3 * 27 coarse cells of 64 fine cells.
+        lattice = np.stack(np.meshgrid(*[np.arange(30.0)] * 3), axis=-1).reshape(-1, 3)
+        assert 30**3 * 27 * 64 > VOLUME_MAX_CELLS
+        message = f"too many volume cells at epsilon 0.25 (over {VOLUME_MAX_CELLS})"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            volume_estimate(PointCloud(lattice), 0.25)
+
+    @pytest.mark.parametrize(
+        "points, eps",
+        [([[1e13, 0.0], [1e13 + 1.0, 1.0]], 0.004), ([[-3e11]], 0.004), ([[0.0]], 1e-310)],
+    )
+    def test_resolution_guard(self, points, eps):
+        with pytest.raises(InputError, match="^epsilon too small for coordinate range$"):
+            volume_estimate(PointCloud(np.array(points)), eps)
+
     def test_singleton_disk_area(self):
         cloud = PointCloud(np.array([[0.3, 0.7]]))
         est = volume_estimate(cloud, 0.1)

@@ -14,6 +14,7 @@ import pytest
 
 import dimest
 from dimest import REPORT_JSON_SCHEMA, load_points_csv, uniform_segment
+from dimest.boxcount import VOLUME_MAX_CELLS
 from dimest.cli import run
 
 
@@ -34,6 +35,28 @@ def test_generate_segment_round_trips(tmp_path):
     assert text.startswith("# dimest generate segment samples=101\n")
     cloud = load_points_csv(out)
     assert np.array_equal(cloud.points, uniform_segment(101).points)
+
+
+@pytest.mark.parametrize(
+    "flags, header",
+    [
+        (
+            ["henon", "--a", "1.3", "--seed-y", "0.1", "--transient", "5"],
+            "henon a=1.3 b=0.3 seed=(0.0,0.1) transient=5 samples=50",
+        ),
+        (["cantor", "--level", "3"], "cantor level=3"),
+        (
+            ["sierpinski", "--rng-seed", "7", "--transient", "9"],
+            "sierpinski samples=50 rng_seed=7 transient=9",
+        ),
+        (["segment"], "segment samples=50"),
+        (["square"], "square samples=50"),
+    ],
+)
+def test_generate_header_records_the_flags(tmp_path, flags, header):
+    out = tmp_path / "pts.csv"
+    assert run(["generate", *flags, "--samples", "50", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[0] == f"# dimest generate {header}"
 
 
 def test_count_single_scale_row(tmp_path, capsys):
@@ -126,6 +149,25 @@ def test_report_with_volume_to_file(tmp_path):
     payload = json.loads(dst.read_text())
     jsonschema.validate(payload, REPORT_JSON_SCHEMA)
     assert payload["dim_box_volume"] == pytest.approx(1.0, abs=0.1)
+
+
+@pytest.mark.parametrize(
+    "rows, epsilons, message",
+    [
+        # 30**3 lattice points 4 coarse cells apart: over the fine-cell budget.
+        (
+            [f"{x},{y},{z}" for x in range(30) for y in range(30) for z in range(30)],
+            "0.25,0.2",
+            f"too many volume cells at epsilon 0.25 (over {VOLUME_MAX_CELLS})",
+        ),
+        (["1e13,0", "10000000000001,1"], "0.008,0.004", "epsilon too small for coordinate range"),
+    ],
+)
+def test_report_volume_refuses_unbounded_input(tmp_path, capsys, rows, epsilons, message):
+    src = tmp_path / "pts.csv"
+    src.write_text("\n".join(rows) + "\n")
+    assert run(["report", "--in", str(src), "--epsilons", epsilons, "--volume"]) == 1
+    assert capsys.readouterr().err == f"dimest: error: {message}\n"
 
 
 def test_report_json_round_trip_bytes(tmp_path):
