@@ -288,6 +288,9 @@ def run(argv=None) -> int:
     except OSError as exc:
         print(f"dimest: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError as exc:
+        print(f"dimest: error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 def main() -> None:

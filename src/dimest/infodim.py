@@ -11,10 +11,11 @@ log2 n(eps) with equality exactly at uniform occupancy, which is why the
 information dimension can never exceed the box-counting dimension.
 
 Terms with p_i = 0 are dropped at construction (0*log 0 := 0): only occupied
-cells enter. Entropy accumulates through compensated summation so the
-sum-to-one and upper-bound checks stay meaningful at millions of cells, and
-cells are consumed in sorted index order so results do not depend on how the
-histograms were built.
+cells enter. Histogram entropies are summed by count class: cells with equal
+counts give bit-equal terms, so S is the exact sum of multiplicity times term
+over the distinct counts, accumulated in integers and rounded once. That is
+the same double as the correctly rounded ``math.fsum`` over every cell, so
+the result does not depend on cell order or on how the histograms were built.
 """
 
 from __future__ import annotations
@@ -85,8 +86,8 @@ class EntropySeries:
             raise InputError("entropy series needs at least one scale")
         if np.any(occ < 1):
             raise InputError("occupied counts must be at least 1")
-        # Bound from the uniform-maximum of Shannon entropy, with float slack.
-        if np.any(bits < -1e-12) or np.any(bits > np.log2(occ) + 1e-9):
+        # Bound from the uniform-maximum of Shannon entropy; NaN fails it too.
+        if not np.all((bits >= -1e-12) & (bits <= np.log2(occ) + 1e-9)):
             raise InputError("entropy must satisfy 0 <= S <= log2(occupied)")
         for arr in (ks, eps, bits, occ, anchor):
             arr.setflags(write=False)
@@ -118,13 +119,32 @@ def probabilities(hist: OccupancyHistogram) -> ProbabilityVector:
 
 
 def shannon_entropy(p: ProbabilityVector) -> float:
-    """Shannon information -sum p_i log2 p_i in bits.
+    """Shannon information -sum p_i log2 p_i in bits: the general-vector path.
 
-    Zero exactly for a point mass; at most log2(len(p)) with equality at the
-    uniform vector. Compensated summation keeps those bounds sharp.
+    Zero for a point mass; at most log2(len(p)) with equality at the uniform
+    vector. Compensated summation keeps those bounds sharp. Histograms take
+    the count-class sum of :func:`entropy_series_from_histograms` instead.
     """
     probs = p.probs
     return -math.fsum(probs * np.log2(probs))
+
+
+def _class_sum(mult: np.ndarray, terms: np.ndarray) -> float:
+    """Correctly rounded ``sum(mult * terms)``; float denominators are powers of 2."""
+    ratios = [t.as_integer_ratio() for t in terms.tolist()]
+    den = max(d for _, d in ratios)
+    return sum(m * n * (den // d) for m, (n, d) in zip(mult.tolist(), ratios)) / den
+
+
+def _histogram_entropy(hist: OccupancyHistogram) -> float:
+    """``shannon_entropy(probabilities(hist))`` summed by count class."""
+    counts, mult = np.unique(hist.counts, return_counts=True)
+    if counts.size == 0:
+        raise InputError("probability vector must be 1-d and non-empty")
+    p = counts / float(hist.total)
+    if abs(_class_sum(mult, p) - 1.0) > 1e-9:
+        raise InputError("probabilities must sum to 1")
+    return -_class_sum(mult, p * np.log2(p))
 
 
 def entropy_series_from_histograms(
@@ -132,13 +152,18 @@ def entropy_series_from_histograms(
     schedule: ScaleSchedule,
     anchor: np.ndarray,
 ) -> EntropySeries:
-    """Assemble an :class:`EntropySeries` from precomputed histograms."""
+    """Assemble an :class:`EntropySeries` from precomputed histograms.
+
+    Each scale's entropy is ``-sum_j m_j * t_j`` over the distinct counts
+    (``m_j`` cells each), with ``t_j = p_j * log2(p_j)`` from the numpy
+    expressions of ``shannon_entropy(probabilities(h))``. Each ``t_j`` is a
+    dyadic rational, so the sum is exact in integers, and one int/int division
+    rounds it correctly, as ``math.fsum`` over the cells does: same double.
+    """
     return EntropySeries(
         ks=schedule.ks,
         epsilons=schedule.epsilons,
-        entropy_bits=np.array(
-            [shannon_entropy(probabilities(h)) for h in histograms], dtype=float
-        ),
+        entropy_bits=np.array([_histogram_entropy(h) for h in histograms], dtype=float),
         occupied=np.array([h.occupied for h in histograms], dtype=np.int64),
         anchor=anchor,
     )

@@ -205,6 +205,35 @@ def test_non_utf8_input_is_exit_one(tmp_path, capsys):
     assert capsys.readouterr().err == f"dimest: error: {src}: not valid UTF-8\n"
 
 
+@pytest.mark.parametrize(
+    "kind, samples",
+    [
+        ("henon", 10**15),
+        ("sierpinski", 10**15),
+        ("segment", 10**15),
+        # 10**15 would first fill a 31.6e6-point axis (about 250 MB) before
+        # failing; 10**30 fails at its first allocation request.
+        ("square", 10**30),
+    ],
+)
+def test_generate_out_of_memory_is_one_line_exit_one(tmp_path, capsys, kind, samples):
+    out = tmp_path / "huge.csv"
+    assert run(["generate", kind, "--samples", str(samples), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dimest: error: Unable to allocate ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_entropy_of_a_single_cell_prints_negative_zero(tmp_path, capsys):
+    src = tmp_path / "one.csv"
+    src.write_text("0.25,0.5\n0.25,0.5\n")
+    assert run(["entropy", "--in", str(src), "--kmin", "0", "--kmax", "2"]) == 0
+    assert capsys.readouterr().out == (
+        "k,epsilon,occupied,entropy_bits\n0,1.0,1,-0.0\n1,0.5,1,-0.0\n2,0.25,1,-0.0\n"
+    )
+
+
 def test_module_entry_point_runs():
     src = str(Path(dimest.__file__).parents[1])
     proc = subprocess.run(

@@ -13,17 +13,22 @@ from dimest import (
     DegenerateFitError,
     EntropySeries,
     GridSpec,
+    HenonParams,
     InputError,
+    OccupancyHistogram,
     PointCloud,
     ProbabilityVector,
     ScaleSchedule,
     count_boxes,
     entropy_series,
+    henon_orbit,
     information_dimension,
     probabilities,
     shannon_entropy,
     uniform_square,
 )
+from dimest.boxcount import occupancy_series, resolve_anchor
+from dimest.infodim import entropy_series_from_histograms
 
 
 def random_probs(rng, n):
@@ -138,6 +143,111 @@ class TestEntropySeries:
                 occupied=np.array([4]),
                 anchor=np.zeros(1),
             )
+
+
+def reference_entropy(hist: OccupancyHistogram) -> float:
+    """Frozen copy of ``shannon_entropy(probabilities(hist))``: two fsum passes."""
+    p = hist.counts / float(hist.total)
+    if abs(math.fsum(p) - 1.0) > 1e-9:
+        raise InputError("probabilities must sum to 1")
+    return -math.fsum(p * np.log2(p))
+
+
+def histogram(counts) -> OccupancyHistogram:
+    counts = np.asarray(counts, dtype=np.int64)
+    return OccupancyHistogram(
+        epsilon=1.0,
+        indices=np.arange(counts.size, dtype=np.int64)[:, None],
+        counts=counts,
+        total=int(counts.sum()),
+    )
+
+
+def histogram_entropies(hists) -> list:
+    schedule = ScaleSchedule.dyadic(0, len(hists) - 1)
+    return entropy_series_from_histograms(hists, schedule, np.zeros(1)).entropy_bits.tolist()
+
+
+def same_double(a: float, b: float) -> bool:
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+@st.composite
+def count_vectors(draw):
+    """Cell counts in [1, 2**40]: few distinct values, all distinct, or free."""
+    n = draw(st.integers(min_value=1, max_value=2000))
+    top = draw(st.sampled_from([1, 2, 3, 100, 2**20, 2**40]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32)))
+    mode = draw(st.sampled_from(["classes", "distinct", "free"]))
+    if mode == "classes":
+        pool = rng.integers(1, top, size=draw(st.integers(1, 4)), endpoint=True)
+        return rng.choice(pool, size=n)
+    if mode == "distinct":
+        gaps = rng.integers(1, max(1, top // n), size=n, endpoint=True)
+        return rng.permutation(np.cumsum(gaps))
+    return rng.integers(1, top, size=n, endpoint=True)
+
+
+class TestEntropyFromHistograms:
+    """The count-class sum against the per-cell fsum path, bit for bit."""
+
+    @given(st.lists(count_vectors(), min_size=1, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_cell_fsum(self, vectors):
+        hists = [histogram(c) for c in vectors]
+        for got, h in zip(histogram_entropies(hists), hists):
+            assert same_double(got, reference_entropy(h))
+            assert same_double(got, shannon_entropy(probabilities(h)))
+
+    def test_matches_per_cell_fsum_on_orbit_every_scale(self):
+        cloud = henon_orbit(HenonParams(samples=10**5))
+        schedule = ScaleSchedule.dyadic(0, 16)
+        anchor = resolve_anchor(cloud, None)
+        hists = occupancy_series(cloud, schedule, anchor=anchor)
+        got = entropy_series_from_histograms(hists, schedule, anchor).entropy_bits
+        assert len(got) == 17
+        for s, h in zip(got.tolist(), hists):
+            assert same_double(s, reference_entropy(h))
+
+    def test_single_cell_is_negative_zero(self):
+        # -fsum([0.0]) is -0.0, and the CLI prints it that way.
+        for count in (1, 7, 2**40):
+            (s,) = histogram_entropies([histogram([count])])
+            assert same_double(s, -0.0)
+
+    @pytest.mark.parametrize("count", [1, 3, 2**30])
+    def test_uniform_power_of_two_cells_is_exact(self, count):
+        hists = [histogram(np.full(2**j, count)) for j in range(1, 16)]
+        assert histogram_entropies(hists) == [float(j) for j in range(1, 16)]
+
+    def test_empty_histogram_is_rejected_like_the_vector_path(self):
+        empty = OccupancyHistogram(1.0, np.empty((0, 1), dtype=np.int64), np.empty(0), 0)
+        with pytest.raises(InputError, match="1-d and non-empty"):
+            probabilities(empty)
+        with pytest.raises(InputError, match="1-d and non-empty"):
+            histogram_entropies([empty])
+
+    @pytest.mark.parametrize("bits", [-1e-9, 2.0 + 1e-8, math.inf, math.nan])
+    def test_hand_built_series_outside_bounds_is_rejected(self, bits):
+        with pytest.raises(InputError, match="0 <= S <= log2"):
+            EntropySeries(
+                ks=np.array([2.0]),
+                epsilons=np.array([0.25]),
+                entropy_bits=np.array([bits]),
+                occupied=np.array([4]),
+                anchor=np.zeros(1),
+            )
+
+    @pytest.mark.parametrize("bits", [-0.0, 0.0, 2.0])
+    def test_hand_built_series_on_the_bounds_is_accepted(self, bits):
+        series = EntropySeries(
+            ks=np.array([2.0]),
+            epsilons=np.array([0.25]),
+            entropy_bits=np.array([bits]),
+            occupied=np.array([4]),
+            anchor=np.zeros(1),
+        )
+        assert same_double(float(series.entropy_bits[0]), bits)
 
 
 class TestInformationDimension:
