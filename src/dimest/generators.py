@@ -246,10 +246,11 @@ def uniform_square(samples: int) -> PointCloud:
     """
     if samples < 1:
         raise InputError("samples must be at least 1")
+    if samples > np.iinfo(np.intp).max // 16:  # 16 bytes a point: no array holds them
+        raise MemoryError(f"Unable to allocate {samples} points")
     m = math.isqrt(samples)
     if m * m < samples:
         m += 1
+    i = np.arange(samples)  # the largest request first: an impossible size fails at once
     axis = np.linspace(0.0, 1.0, m) if m > 1 else np.zeros(1)
-    xx, yy = np.meshgrid(axis, axis, indexing="ij")
-    grid = np.stack([xx.ravel(), yy.ravel()], axis=1)
-    return PointCloud(grid[:samples])
+    return PointCloud(np.stack([axis[i // m], axis[i % m]], axis=1))

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import re
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -358,6 +360,41 @@ class TestVolumeEstimate:
     def test_matches_full_grid_bit_for_bit(self, case):
         cloud, eps = case
         assert volume_estimate(cloud, eps).volume == _full_grid_volume(cloud, eps)
+
+    @given(
+        volume_cases(),
+        st.lists(st.floats(1.0, 4.0), min_size=1, max_size=3),
+        st.integers(0, 3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_several_epsilons_on_one_cloud_match_full_grid(self, case, factors, position):
+        # One cloud object, so every estimate after the first reuses its tree.
+        cloud, eps = case
+        epsilons = [eps * f for f in factors]
+        epsilons.insert(position % (len(epsilons) + 1), eps)
+        for e in epsilons:
+            assert volume_estimate(cloud, e).volume == _full_grid_volume(cloud, e)
+
+    def test_one_tree_per_cloud_freed_with_it(self, monkeypatch):
+        built = []
+
+        class CountingTree(cKDTree):
+            def __init__(self, data, *args, **kwargs):
+                super().__init__(data, *args, **kwargs)
+                built.append(weakref.ref(self))
+
+        monkeypatch.setattr(dimest.boxcount, "cKDTree", CountingTree)
+        cloud = ifs_chaos_game(sierpinski_spec(2000, rng_seed=4))
+        volume_dimension(cloud, ScaleSchedule.dyadic(2, 5))
+        assert len(built) == 1
+        twin = PointCloud(cloud.points)
+        for eps in (0.2, 0.1):
+            assert volume_estimate(twin, eps) == volume_estimate(cloud, eps)
+        assert len(built) == 2
+        assert all(ref() is not None for ref in built)
+        del cloud, twin
+        gc.collect()
+        assert all(ref() is None for ref in built)
 
     def test_far_apart_points_stay_cheap(self):
         # The full grid would be 4e9 x 8 fine cells.

@@ -211,8 +211,9 @@ def test_non_utf8_input_is_exit_one(tmp_path, capsys):
         ("henon", 10**15),
         ("sierpinski", 10**15),
         ("segment", 10**15),
-        # 10**15 would first fill a 31.6e6-point axis (about 250 MB) before
-        # failing; 10**30 fails at its first allocation request.
+        # Both fail at their first request: 10**15 points in numpy, 10**30
+        # (past any array's index range) in the generator's own size check.
+        ("square", 10**15),
         ("square", 10**30),
     ],
 )

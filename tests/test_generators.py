@@ -203,6 +203,17 @@ class TestCalibrationShapes:
         assert set(np.unique(cloud.points[:, 0])) == set(axis)
         assert set(np.unique(cloud.points[:, 1])) == set(axis)
 
+    @pytest.mark.parametrize("samples", [1, 2, 3, 4, 5, 17, 1000, 2**18, 10**6 + 7])
+    def test_square_matches_meshgrid_fill(self, samples):
+        # Frozen copy of the m x m meshgrid fill, truncated to `samples` rows.
+        m = math.isqrt(samples)
+        if m * m < samples:
+            m += 1
+        axis = np.linspace(0.0, 1.0, m) if m > 1 else np.zeros(1)
+        xx, yy = np.meshgrid(axis, axis, indexing="ij")
+        grid = np.stack([xx.ravel(), yy.ravel()], axis=1)[:samples]
+        assert uniform_square(samples).points.tobytes() == grid.tobytes()
+
     def test_square_partial_grid_deterministic(self):
         a = uniform_square(5)
         b = uniform_square(5)
