@@ -148,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_schedule(args) -> ScaleSchedule:
-    if args.epsilons:
+    if args.epsilons is not None:
         try:
             values = [float(v) for v in args.epsilons.split(",") if v.strip()]
         except ValueError:

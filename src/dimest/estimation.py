@@ -314,14 +314,13 @@ def build_report(
             raise InputError("mismatched schedules: volume estimates differ")
         dim_box_volume = volume_scaling_dimension(volume_estimates)
 
-    extrapolation = None
-    if len(count_series.ks) >= 2:
-        extrapolation = two_scale_extrapolation(
-            count_series.ks[0],
-            count_series.counts[0],
-            count_series.ks[-1],
-            count_series.counts[-1],
-        )
+    # loglog_fit above has already refused fewer than two scales.
+    extrapolation = two_scale_extrapolation(
+        count_series.ks[0],
+        count_series.counts[0],
+        count_series.ks[-1],
+        count_series.counts[-1],
+    )
 
     gaps = tuple(
         float(math.log2(n) - s)

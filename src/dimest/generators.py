@@ -61,6 +61,12 @@ class HenonParams:
             raise InputError("samples must be at least 1")
 
 
+def _check_size(n: int, d: int) -> None:
+    """Raise MemoryError, not numpy's ValueError, if no array can hold n points in R^d."""
+    if n > np.iinfo(np.intp).max // (8 * d):
+        raise MemoryError(f"Unable to allocate {n} points")
+
+
 def henon_orbit(params: HenonParams) -> PointCloud:
     """Iterate the map from ``params.seed`` and return the sampled orbit.
 
@@ -70,20 +76,15 @@ def henon_orbit(params: HenonParams) -> PointCloud:
     """
     a, b = params.a, params.b
     x, y = float(params.seed[0]), float(params.seed[1])
+    _check_size(params.samples, 2)
     pts = np.empty((params.samples, 2))
-    step = 0
-    for _ in range(params.transient):
+    for i in range(-params.transient, params.samples):
         x, y = 1.0 - a * x * x + y, b * x
-        step += 1
         if abs(x) > ESCAPE_RADIUS or abs(y) > ESCAPE_RADIUS:
-            raise OrbitDivergedError(f"orbit diverged at step {step}")
-    for i in range(params.samples):
-        x, y = 1.0 - a * x * x + y, b * x
-        step += 1
-        if abs(x) > ESCAPE_RADIUS or abs(y) > ESCAPE_RADIUS:
-            raise OrbitDivergedError(f"orbit diverged at step {step}")
-        pts[i, 0] = x
-        pts[i, 1] = y
+            raise OrbitDivergedError(f"orbit diverged at step {params.transient + i + 1}")
+        if i >= 0:
+            pts[i, 0] = x
+            pts[i, 1] = y
     return PointCloud(pts)
 
 
@@ -184,6 +185,7 @@ def ifs_chaos_game(spec: IfsSpec) -> PointCloud:
     ``transient`` iterates are discarded.
     """
     total = spec.transient + spec.samples
+    _check_size(total, spec.dim)  # the draws and the kept points fit in as much
     rng = np.random.default_rng(spec.rng_seed)
     cum = np.cumsum(spec.probabilities)
     choice = np.searchsorted(cum, rng.random(total), side="right")
@@ -233,6 +235,7 @@ def uniform_segment(samples: int) -> PointCloud:
     """Equispaced fill of the unit segment, embedded in R^2 on y = 0."""
     if samples < 1:
         raise InputError("samples must be at least 1")
+    _check_size(samples, 2)
     xs = np.linspace(0.0, 1.0, samples)
     return PointCloud(np.stack([xs, np.zeros(samples)], axis=1))
 
@@ -246,11 +249,10 @@ def uniform_square(samples: int) -> PointCloud:
     """
     if samples < 1:
         raise InputError("samples must be at least 1")
-    if samples > np.iinfo(np.intp).max // 16:  # 16 bytes a point: no array holds them
-        raise MemoryError(f"Unable to allocate {samples} points")
+    _check_size(samples, 2)
     m = math.isqrt(samples)
     if m * m < samples:
         m += 1
     i = np.arange(samples)  # the largest request first: an impossible size fails at once
-    axis = np.linspace(0.0, 1.0, m) if m > 1 else np.zeros(1)
+    axis = np.linspace(0.0, 1.0, m)
     return PointCloud(np.stack([axis[i // m], axis[i % m]], axis=1))

@@ -33,7 +33,7 @@ from dimest import (
     volume_dimension,
     volume_estimate,
 )
-from dimest.boxcount import VOLUME_MAX_CELLS, _unique_index_counts, resolve_anchor
+from dimest.boxcount import VOLUME_MAX_CELLS, resolve_anchor
 
 
 class TestCountBoxes:
@@ -81,10 +81,18 @@ class TestCountBoxes:
 
 
 class TestUniqueIndexCounts:
+    """Occupied cells of integer points on the unit grid: the points' own rows."""
+
+    @staticmethod
+    def unit_grid_histogram(idx):
+        points = idx.astype(float)
+        _, hist = count_boxes(PointCloud(points), GridSpec(np.zeros(idx.shape[1]), 1.0))
+        return hist.indices, hist.counts
+
     def test_matches_numpy_unique_rows(self):
         rng = np.random.default_rng(9)
         idx = rng.integers(-50, 50, size=(2000, 3)).astype(np.int64)
-        rows, counts = _unique_index_counts(idx)
+        rows, counts = self.unit_grid_histogram(idx)
         expect_rows, expect_counts = np.unique(idx, axis=0, return_counts=True)
         assert np.array_equal(rows, expect_rows)
         assert np.array_equal(counts, expect_counts)
@@ -94,14 +102,14 @@ class TestUniqueIndexCounts:
         idx = np.array(
             [[0, 0], [2**33, 2**33], [0, 0], [-(2**33), 5]], dtype=np.int64
         )
-        rows, counts = _unique_index_counts(idx)
+        rows, counts = self.unit_grid_histogram(idx)
         expect_rows, expect_counts = np.unique(idx, axis=0, return_counts=True)
         assert np.array_equal(rows, expect_rows)
         assert np.array_equal(counts, expect_counts)
 
     def test_one_dimensional(self):
         idx = np.array([[3], [1], [3], [-2]], dtype=np.int64)
-        rows, counts = _unique_index_counts(idx)
+        rows, counts = self.unit_grid_histogram(idx)
         assert np.array_equal(rows[:, 0], [-2, 1, 3])
         assert np.array_equal(counts, [1, 1, 2])
 

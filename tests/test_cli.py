@@ -205,18 +205,11 @@ def test_non_utf8_input_is_exit_one(tmp_path, capsys):
     assert capsys.readouterr().err == f"dimest: error: {src}: not valid UTF-8\n"
 
 
-@pytest.mark.parametrize(
-    "kind, samples",
-    [
-        ("henon", 10**15),
-        ("sierpinski", 10**15),
-        ("segment", 10**15),
-        # Both fail at their first request: 10**15 points in numpy, 10**30
-        # (past any array's index range) in the generator's own size check.
-        ("square", 10**15),
-        ("square", 10**30),
-    ],
-)
+# Each fails at its first request: 10**15 points in numpy; 2**59 (the fewest
+# 2-D points whose bytes pass the index range) and 10**30 in the generators'
+# own size check, where numpy would raise ValueError.
+@pytest.mark.parametrize("samples", [10**15, 2**59, 10**30])
+@pytest.mark.parametrize("kind", ["henon", "sierpinski", "segment", "square"])
 def test_generate_out_of_memory_is_one_line_exit_one(tmp_path, capsys, kind, samples):
     out = tmp_path / "huge.csv"
     assert run(["generate", kind, "--samples", str(samples), "--out", str(out)]) == 1
@@ -253,6 +246,18 @@ def test_bad_epsilons_flag(tmp_path, capsys):
     run(["generate", "segment", "--samples", "10", "--out", str(src)])
     assert run(["count", "--in", str(src), "--epsilons", "0.5,abc"]) == 1
     assert "epsilons" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["count", "entropy", "report"])
+def test_empty_epsilons_flag_is_exit_one(tmp_path, capsys, command):
+    # An empty list of scales is an error, not a fall back to --kmin/--kmax.
+    src = tmp_path / "seg.csv"
+    run(["generate", "segment", "--samples", "10", "--out", str(src)])
+    capsys.readouterr()
+    assert run([command, "--in", str(src), "--epsilons", ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "dimest: error: schedule needs at least one scale\n"
 
 
 def test_single_point_report_degenerates_exit_two(tmp_path, capsys):

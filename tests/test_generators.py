@@ -53,6 +53,13 @@ class TestHenonOrbit:
         with pytest.raises(OrbitDivergedError):
             henon_orbit(HenonParams(a=5.0, transient=100, samples=1))
 
+    @pytest.mark.parametrize("transient", [0, 3, 4, 10])
+    def test_divergence_step_counts_transient_and_kept_iterates(self, transient):
+        # From (3, 0) with a = 2: |x| runs 17, 576, 6.6e5, 8.8e11, so the
+        # fourth iterate escapes, whether it would be discarded or kept.
+        with pytest.raises(OrbitDivergedError, match="^orbit diverged at step 4$"):
+            henon_orbit(HenonParams(a=2.0, seed=(3.0, 0.0), transient=transient, samples=5))
+
     def test_param_validation(self):
         with pytest.raises(InputError):
             HenonParams(samples=0)
