@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -49,7 +48,6 @@ __all__ = [
     "resolve_anchor",
     "occupancy_series",
     "count_series",
-    "count_series_from_histograms",
     "volume_estimate",
     "volume_dimension",
 ]
@@ -64,6 +62,10 @@ VOLUME_MAX_CELLS = 1 << 25
 # The volume KD-tree of each cloud: immutable and hashed by identity, a cloud
 # cannot outdate its tree, which is freed with it.
 _TREES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+# The last occupancy_series result of each cloud, keyed by anchor and schedule,
+# so counts and entropy on one cloud share a pass; freed with the cloud.
+_HISTOGRAMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 # Packed keys spanning at most this many cells are tallied in a dense array
 # (8 MB of int64) rather than sorted.
@@ -104,10 +106,6 @@ class OccupancyHistogram:
     def occupied(self) -> int:
         """Number of occupied cells n(epsilon)."""
         return self.indices.shape[0]
-
-    def cells(self) -> dict:
-        """Mapping from index tuple to point count (built on demand)."""
-        return {tuple(row): int(c) for row, c in zip(self.indices, self.counts)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,8 +244,18 @@ def occupancy_series(
     is the next finer one's occupied cells shifted right by the difference
     in k and merged. Any other schedule counts each scale from the points in
     turn. Both give the same histograms bit for bit.
+
+    The last result is kept while the cloud lives, so a second call with the
+    same resolved anchor and schedule (``count_series`` then
+    ``entropy_series``, say) returns the same immutable histograms in a new
+    list without indexing the points again. Clouds and schedules are
+    immutable, so a kept result cannot be outdated.
     """
     resolved = resolve_anchor(cloud, anchor)
+    key = (resolved.tobytes(), schedule.ks.tobytes(), schedule.epsilons.tobytes())
+    kept = _HISTOGRAMS.get(cloud)
+    if kept is not None and kept[0] == key:
+        return list(kept[1])
 
     def one(eps: float) -> OccupancyHistogram:
         return count_boxes(cloud, GridSpec(anchor=resolved, epsilon=eps))[1]
@@ -261,30 +269,28 @@ def occupancy_series(
             shift = min(int(ks[i + 1] - ks[i]), 63)
             rows, counts = _unique_index_counts(finer.indices >> shift, finer.counts)
             hists.append(OccupancyHistogram(float(epsilons[i]), rows, counts, finer.total))
-        return hists[::-1]
-    return [one(eps) for eps in epsilons]
-
-
-def count_series_from_histograms(
-    histograms: Sequence[OccupancyHistogram],
-    schedule: ScaleSchedule,
-    anchor: np.ndarray,
-) -> CountSeries:
-    """Assemble a :class:`CountSeries` from precomputed histograms."""
-    return CountSeries(
-        ks=schedule.ks,
-        epsilons=schedule.epsilons,
-        counts=np.array([h.occupied for h in histograms], dtype=np.int64),
-        anchor=anchor,
-        n_points=histograms[0].total if histograms else 0,
-    )
+        hists.reverse()
+    else:
+        hists = [one(eps) for eps in epsilons]
+    _HISTOGRAMS[cloud] = (key, tuple(hists))
+    return hists
 
 
 def count_series(cloud: PointCloud, schedule: ScaleSchedule, anchor=None) -> CountSeries:
-    """Occupied-cell counts n(epsilon) over the schedule, k ascending."""
+    """Occupied-cell counts n(epsilon) over the schedule, k ascending.
+
+    The counts come from :func:`occupancy_series`, so an ``entropy_series``
+    on the same cloud, schedule and anchor reuses its pass.
+    """
     resolved = resolve_anchor(cloud, anchor)
     hists = occupancy_series(cloud, schedule, anchor=resolved)
-    return count_series_from_histograms(hists, schedule, resolved)
+    return CountSeries(
+        ks=schedule.ks,
+        epsilons=schedule.epsilons,
+        counts=np.array([h.occupied for h in hists], dtype=np.int64),
+        anchor=resolved,
+        n_points=len(cloud),
+    )
 
 
 def volume_estimate(cloud: PointCloud, epsilon: float) -> VolumeEstimate:

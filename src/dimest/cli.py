@@ -23,12 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .boxcount import (
-    count_series_from_histograms,
-    occupancy_series,
-    resolve_anchor,
-    volume_estimate,
-)
+from .boxcount import count_series, occupancy_series, volume_estimate
 from .errors import InputError, NumericalError
 from .estimation import build_report
 from .fileio import atomic_write_text, load_points_csv, save_points_csv
@@ -41,8 +36,8 @@ from .generators import (
     uniform_segment,
     uniform_square,
 )
-from .geometry import PointCloud, ScaleSchedule
-from .infodim import entropy_series_from_histograms
+from .geometry import ScaleSchedule
+from .infodim import entropy_series
 
 __all__ = ["build_parser", "run", "main"]
 
@@ -157,10 +152,6 @@ def _resolve_schedule(args) -> ScaleSchedule:
     return ScaleSchedule.dyadic(args.kmin, args.kmax)
 
 
-def _anchor_override(args, cloud: PointCloud):
-    return np.zeros(cloud.dim) if args.anchor == "origin" else None
-
-
 def _emit(text: str, path) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -194,21 +185,19 @@ def _cmd_generate(args) -> int:
 
 def _load_with_schedule(args):
     cloud = load_points_csv(args.infile)
-    schedule = _resolve_schedule(args)
-    anchor = resolve_anchor(cloud, _anchor_override(args, cloud))
-    hists = occupancy_series(cloud, schedule, anchor=anchor)
-    return cloud, schedule, anchor, hists
+    anchor = np.zeros(cloud.dim) if args.anchor == "origin" else None
+    return cloud, _resolve_schedule(args), anchor
 
 
 def _cmd_count(args) -> int:
-    _, schedule, anchor, hists = _load_with_schedule(args)
-    series = count_series_from_histograms(hists, schedule, anchor)
+    cloud, schedule, anchor = _load_with_schedule(args)
+    series = count_series(cloud, schedule, anchor)
     lines = ["k,epsilon,count"]
     lines += [f"{_fmt_k(k)},{_fmt(e)},{c}" for k, e, c in series.entries]
     _emit("\n".join(lines) + "\n", args.out)
     if args.histogram is not None:
         scales = []
-        for k, hist in zip(schedule.ks, hists):
+        for k, hist in zip(schedule.ks, occupancy_series(cloud, schedule, anchor)):
             cells = {
                 ",".join(str(i) for i in row): int(c)
                 for row, c in zip(hist.indices, hist.counts)
@@ -221,14 +210,13 @@ def _cmd_count(args) -> int:
                     "cells": cells,
                 }
             )
-        dump = {"anchor": [float(a) for a in anchor], "scales": scales}
+        dump = {"anchor": [float(a) for a in series.anchor], "scales": scales}
         atomic_write_text(args.histogram, json.dumps(dump, indent=2) + "\n")
     return EXIT_OK
 
 
 def _cmd_entropy(args) -> int:
-    _, schedule, anchor, hists = _load_with_schedule(args)
-    series = entropy_series_from_histograms(hists, schedule, anchor)
+    series = entropy_series(*_load_with_schedule(args))
     lines = ["k,epsilon,occupied,entropy_bits"]
     lines += [
         f"{_fmt_k(k)},{_fmt(e)},{n},{_fmt(s)}"
@@ -239,9 +227,9 @@ def _cmd_entropy(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    cloud, schedule, anchor, hists = _load_with_schedule(args)
-    counts = count_series_from_histograms(hists, schedule, anchor)
-    entropies = entropy_series_from_histograms(hists, schedule, anchor)
+    cloud, schedule, anchor = _load_with_schedule(args)
+    counts = count_series(cloud, schedule, anchor)
+    entropies = entropy_series(cloud, schedule, anchor)
     volumes = None
     if args.volume:
         volumes = [volume_estimate(cloud, eps) for eps in schedule.epsilons]

@@ -10,35 +10,41 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import dimest.boxcount
 from dimest import (
     HenonParams,
     PointCloud,
     ScaleSchedule,
     cantor_points,
+    count_series,
+    entropy_series,
     henon_orbit,
     ifs_chaos_game,
     sierpinski_spec,
     uniform_segment,
     uniform_square,
 )
-from dimest.boxcount import (
-    count_series_from_histograms,
-    occupancy_series,
-    resolve_anchor,
-)
-from dimest.infodim import entropy_series_from_histograms
 
 CANTOR_LEVEL = 12
 
 
 def make_series(cloud: PointCloud, schedule: ScaleSchedule, anchor=None):
-    """Count and entropy series off one shared occupancy computation."""
-    resolved = resolve_anchor(cloud, anchor)
-    hists = occupancy_series(cloud, schedule, anchor=resolved)
-    return (
-        count_series_from_histograms(hists, schedule, resolved),
-        entropy_series_from_histograms(hists, schedule, resolved),
-    )
+    """Count and entropy series off one shared occupancy pass."""
+    return count_series(cloud, schedule, anchor), entropy_series(cloud, schedule, anchor)
+
+
+@pytest.fixture
+def box_indices_calls(monkeypatch):
+    """Scale of every ``box_indices`` call occupancy counting makes, in order."""
+    calls = []
+    original = dimest.boxcount.box_indices
+
+    def spy(grid, points):
+        calls.append(grid.epsilon)
+        return original(grid, points)
+
+    monkeypatch.setattr(dimest.boxcount, "box_indices", spy)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -77,7 +77,8 @@ class TestCountBoxes:
     def test_cells_mapping(self):
         cloud = PointCloud(np.array([[0.1, 0.1], [0.2, 0.2], [0.9, 0.9]]))
         _, hist = count_boxes(cloud, GridSpec(np.zeros(2), 0.5))
-        assert hist.cells() == {(0, 0): 2, (1, 1): 1}
+        assert hist.indices.tolist() == [[0, 0], [1, 1]]
+        assert hist.counts.tolist() == [2, 1]
 
 
 class TestUniqueIndexCounts:
@@ -308,7 +309,8 @@ class TestDyadicHierarchy:
         schedule = ScaleSchedule.from_epsilons([1.0, 2.0**-100])
         got = occupancy_series(cloud, schedule, anchor=[0.0, 0.0])
         assert_same_histograms(got, per_scale(cloud, schedule, [0.0, 0.0]))
-        assert got[0].cells() == {(-1, 0): 1, (0, -1): 2}
+        assert got[0].indices.tolist() == [[-1, 0], [0, -1]]
+        assert got[0].counts.tolist() == [1, 2]
 
     @pytest.mark.parametrize(
         "schedule",
@@ -327,6 +329,74 @@ class TestDyadicHierarchy:
         for hist in occupancy_series(cloud, ScaleSchedule.dyadic(0, 20)):
             assert hist.indices.tolist() == [[0, 0, 0]]
             assert hist.counts.tolist() == [1]
+
+
+SHARED_SCHEDULES = [ScaleSchedule.dyadic(2, 9), ScaleSchedule.from_epsilons([0.3, 0.2, 0.1])]
+
+
+class TestSharedPass:
+    """Each cloud keeps its last histograms, so counts and entropy share a pass."""
+
+    @pytest.mark.parametrize("schedule, scans", zip(SHARED_SCHEDULES, [1, 3]))
+    @pytest.mark.parametrize("anchor", [None, [0.0, 0.0]])
+    def test_counts_then_entropy_index_points_once(
+        self, box_indices_calls, schedule, scans, anchor
+    ):
+        cloud = ifs_chaos_game(sierpinski_spec(5000, rng_seed=1))
+        count_series(cloud, schedule, anchor)
+        entropy_series(cloud, schedule, anchor)
+        assert len(box_indices_calls) == scans
+
+    @pytest.mark.parametrize("schedule", SHARED_SCHEDULES)
+    def test_hit_equals_fresh_pass_on_twin_cloud(self, box_indices_calls, schedule):
+        cloud = ifs_chaos_game(sierpinski_spec(5000, rng_seed=2))
+        first = occupancy_series(cloud, schedule)
+        calls = len(box_indices_calls)
+        hit = occupancy_series(cloud, schedule, anchor=cloud.points.min(axis=0))
+        assert len(box_indices_calls) == calls
+        assert all(h is f for h, f in zip(hit, first))
+        fresh = occupancy_series(PointCloud(cloud.points), schedule)
+        assert len(box_indices_calls) == 2 * calls
+        for h, f in zip(hit, fresh, strict=True):
+            assert h.indices.tolist() == f.indices.tolist()
+            assert h.counts.tolist() == f.counts.tolist()
+
+    def test_other_schedule_or_anchor_recomputes(self, box_indices_calls):
+        cloud = ifs_chaos_game(sierpinski_spec(5000, rng_seed=3))
+        dyadic, explicit = SHARED_SCHEDULES
+        relabelled = ScaleSchedule(epsilons=np.array([0.31, 0.21, 0.11]), ks=explicit.ks)
+        cases = [
+            (dyadic, None),
+            (explicit, None),
+            (explicit, [0.0, 0.0]),
+            (relabelled, [0.0, 0.0]),  # same labels, other scales
+            (dyadic, None),  # only the last result is kept
+        ]
+        for schedule, anchor in cases:
+            calls = len(box_indices_calls)
+            got = occupancy_series(cloud, schedule, anchor=anchor)
+            assert len(box_indices_calls) > calls
+            assert_same_histograms(got, per_scale(cloud, schedule, anchor))
+
+    def test_mutating_returned_list_leaves_next_call(self):
+        cloud = ifs_chaos_game(sierpinski_spec(5000, rng_seed=4))
+        schedule = SHARED_SCHEDULES[0]
+        first = occupancy_series(cloud, schedule)
+        expected = list(first)
+        first.reverse()
+        first.pop()
+        again = occupancy_series(cloud, schedule)
+        assert again is not first
+        assert_same_histograms(again, expected)
+
+    def test_histograms_freed_with_cloud(self):
+        cloud = ifs_chaos_game(sierpinski_spec(5000, rng_seed=5))
+        ref = weakref.ref(occupancy_series(cloud, SHARED_SCHEDULES[0])[0])
+        gc.collect()
+        assert ref() is not None
+        del cloud
+        gc.collect()
+        assert ref() is None
 
 
 def _full_grid_volume(cloud: PointCloud, eps: float) -> float:

@@ -96,6 +96,20 @@ def test_count_csv_and_histogram(tmp_path):
     assert names == {"seg.csv", "counts.csv", "hist.json"}
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["report"], ["report", "--anchor", "origin"], ["count", "--histogram", "hist.json"]],
+)
+def test_counts_and_entropy_share_one_indexing_pass(
+    tmp_path, monkeypatch, box_indices_calls, command
+):
+    src = tmp_path / "seg.csv"
+    run(["generate", "segment", "--samples", "1000", "--out", str(src)])
+    monkeypatch.chdir(tmp_path)
+    assert run([command[0], "--in", str(src), "--kmin", "2", "--kmax", "6", *command[1:]]) == 0
+    assert box_indices_calls == [2.0**-6]
+
+
 def test_entropy_output(tmp_path, capsys):
     src = tmp_path / "seg.csv"
     run(["generate", "segment", "--samples", "4096", "--out", str(src)])

