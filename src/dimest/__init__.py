@@ -57,7 +57,6 @@ from .geometry import (
     PointCloud,
     ScaleSchedule,
     bounding_box,
-    box_index,
     box_indices,
 )
 from .infodim import (
@@ -92,7 +91,6 @@ __all__ = [
     "ScaleSchedule",
     "VolumeEstimate",
     "bounding_box",
-    "box_index",
     "box_indices",
     "build_report",
     "cantor_points",

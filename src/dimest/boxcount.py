@@ -146,9 +146,6 @@ class CountSeries:
             for k, e, c in zip(self.ks, self.epsilons, self.counts)
         ]
 
-    def __len__(self) -> int:
-        return self.ks.size
-
 
 @dataclass(frozen=True)
 class VolumeEstimate:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -58,9 +58,6 @@ class FitResult:
     r_squared: float
     n_points: int
     residuals: np.ndarray
-
-    def predict(self, xs) -> np.ndarray:
-        return self.slope * np.asarray(xs, dtype=float) + self.intercept
 
 
 def loglog_fit(xs, ys) -> FitResult:
@@ -180,97 +177,66 @@ class DimensionReport:
     config: dict
 
     def to_dict(self) -> dict:
-        """Plain-JSON form with a fixed key order."""
-
-        def fit_dict(fit: FitResult) -> dict:
-            return {
-                "slope": fit.slope,
-                "intercept": fit.intercept,
-                "r_squared": fit.r_squared,
-                "n_points": fit.n_points,
-                "residuals": [float(r) for r in fit.residuals],
-            }
-
-        return {
-            "dim_box": self.dim_box,
-            "dim_box_volume": self.dim_box_volume,
-            "dim_info": self.dim_info,
-            "fit_box": fit_dict(self.fit_box),
-            "fit_info": fit_dict(self.fit_info),
-            "extrapolation": self.extrapolation,
-            "reference_dim": self.reference_dim,
-            "inequality_verdicts": [
-                {"name": v.name, "holds": v.holds, "margin": v.margin}
-                for v in self.inequality_verdicts
-            ],
-            "uniformity_gap_bits": list(self.uniformity_gap_bits),
-            "uniformity_hypothesis_met": self.uniformity_hypothesis_met,
-            "warnings": list(self.warnings),
-            "config": self.config,
-        }
+        """Plain-JSON form; keys, nested ones too, in field declaration order."""
+        return asdict(self, dict_factory=_json_fields)
 
     def to_json(self) -> str:
         """Canonical JSON serialization (full precision, fixed key order)."""
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
-_FIT_SCHEMA = {
-    "type": "object",
-    "properties": {
+def _json_fields(fields: list) -> dict:
+    """``asdict`` factory: numpy arrays (the fit residuals) become lists."""
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in fields}
+
+
+def _object_schema(properties: dict) -> dict:
+    """Schema of an object with exactly these keys, all of them required."""
+    return {
+        "type": "object",
+        "properties": properties,
+        "required": list(properties),
+        "additionalProperties": False,
+    }
+
+
+_FIT_SCHEMA = _object_schema(
+    {
         "slope": {"type": "number"},
         "intercept": {"type": "number"},
         "r_squared": {"type": "number", "minimum": 0, "maximum": 1},
         "n_points": {"type": "integer", "minimum": 2},
         "residuals": {"type": "array", "items": {"type": "number"}},
-    },
-    "required": ["slope", "intercept", "r_squared", "n_points", "residuals"],
-    "additionalProperties": False,
-}
+    }
+)
 
 REPORT_JSON_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
-    "type": "object",
-    "properties": {
-        "dim_box": {"type": "number"},
-        "dim_box_volume": {"type": ["number", "null"]},
-        "dim_info": {"type": "number"},
-        "fit_box": _FIT_SCHEMA,
-        "fit_info": _FIT_SCHEMA,
-        "extrapolation": {"type": ["number", "null"]},
-        "reference_dim": {"type": ["number", "null"]},
-        "inequality_verdicts": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "name": {"type": "string"},
-                    "holds": {"type": "boolean"},
-                    "margin": {"type": "number"},
-                },
-                "required": ["name", "holds", "margin"],
-                "additionalProperties": False,
+    **_object_schema(
+        {
+            "dim_box": {"type": "number"},
+            "dim_box_volume": {"type": ["number", "null"]},
+            "dim_info": {"type": "number"},
+            "fit_box": _FIT_SCHEMA,
+            "fit_info": _FIT_SCHEMA,
+            "extrapolation": {"type": ["number", "null"]},
+            "reference_dim": {"type": ["number", "null"]},
+            "inequality_verdicts": {
+                "type": "array",
+                "items": _object_schema(
+                    {
+                        "name": {"type": "string"},
+                        "holds": {"type": "boolean"},
+                        "margin": {"type": "number"},
+                    }
+                ),
             },
-        },
-        "uniformity_gap_bits": {"type": "array", "items": {"type": "number"}},
-        "uniformity_hypothesis_met": {"type": "boolean"},
-        "warnings": {"type": "array", "items": {"type": "string"}},
-        "config": {"type": "object"},
-    },
-    "required": [
-        "dim_box",
-        "dim_box_volume",
-        "dim_info",
-        "fit_box",
-        "fit_info",
-        "extrapolation",
-        "reference_dim",
-        "inequality_verdicts",
-        "uniformity_gap_bits",
-        "uniformity_hypothesis_met",
-        "warnings",
-        "config",
-    ],
-    "additionalProperties": False,
+            "uniformity_gap_bits": {"type": "array", "items": {"type": "number"}},
+            "uniformity_hypothesis_met": {"type": "boolean"},
+            "warnings": {"type": "array", "items": {"type": "string"}},
+            "config": {"type": "object"},
+        }
+    ),
 }
 
 # Fits below this r^2 get a nonlinear-scaling warning rather than an error.
@@ -299,7 +265,18 @@ def build_report(
     The third ordering check (reference vs information dimension) is only
     evaluated when every per-scale occupancy gap log2 n - S is below
     ``gap_threshold`` bits, i.e. when box occupancy is near uniform.
+
+    Raises:
+        InputError: a non-finite ``reference_dim``, ``tolerance`` or
+            ``gap_threshold``, which would put NaN or Infinity in the JSON.
     """
+    for name, value in (
+        ("reference_dim", reference_dim),
+        ("tolerance", tolerance),
+        ("gap_threshold", gap_threshold),
+    ):
+        if value is not None and not math.isfinite(value):
+            raise InputError(f"{name} must be finite")
     if not np.array_equal(count_series.epsilons, entropy_series.epsilons) or not np.array_equal(
         count_series.anchor, entropy_series.anchor
     ):

@@ -162,6 +162,8 @@ class IfsSpec:
             raise InputError("transient must be non-negative")
         if self.samples < 1:
             raise InputError("samples must be at least 1")
+        if self.rng_seed < 0:
+            raise InputError("rng_seed must be non-negative")
         object.__setattr__(self, "maps", tuple(frozen))
         object.__setattr__(self, "probabilities", probs)
         object.__setattr__(self, "seed", start)

@@ -25,7 +25,6 @@ __all__ = [
     "GridSpec",
     "ScaleSchedule",
     "bounding_box",
-    "box_index",
     "box_indices",
 ]
 
@@ -96,10 +95,6 @@ class BoundingBox:
         object.__setattr__(self, "max", hi)
 
     @property
-    def dim(self) -> int:
-        return self.min.shape[0]
-
-    @property
     def widths(self) -> np.ndarray:
         return self.max - self.min
 
@@ -161,7 +156,7 @@ class GridSpec:
 def box_indices(grid: GridSpec, points: np.ndarray) -> np.ndarray:
     """Cell indices for an ``(n, d)`` array of points, as ``(n, d)`` int64.
 
-    Vectorized form of :func:`box_index`; the two always agree row by row.
+    Row i is the index vector of the unique half-open cell holding point i.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -176,12 +171,6 @@ def box_indices(grid: GridSpec, points: np.ndarray) -> np.ndarray:
     if scaled.size and np.max(np.abs(scaled)) >= _INDEX_LIMIT:
         raise InputError("box index overflow: epsilon too small for coordinate range")
     return scaled.astype(np.int64)
-
-
-def box_index(grid: GridSpec, point) -> np.ndarray:
-    """Index vector of the unique half-open cell containing ``point``."""
-    vec = _as_vector(point, "point", dim=grid.dim)
-    return box_indices(grid, vec.reshape(1, -1))[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,6 +224,3 @@ class ScaleSchedule:
 
     def __len__(self) -> int:
         return self.epsilons.size
-
-    def __iter__(self):
-        return iter(zip(self.ks, self.epsilons))

@@ -40,7 +40,6 @@ __all__ = [
     "shannon_entropy",
     "histogram_entropy",
     "entropy_series",
-    "entropy_fit",
     "information_dimension",
 ]
 
@@ -61,9 +60,6 @@ class ProbabilityVector:
             raise InputError("probabilities must sum to 1")
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
-
-    def __len__(self) -> int:
-        return self.probs.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,9 +103,6 @@ class EntropySeries:
             for e, s, n in zip(self.epsilons, self.entropy_bits, self.occupied)
         ]
 
-    def __len__(self) -> int:
-        return self.ks.size
-
 
 def probabilities(hist: OccupancyHistogram) -> ProbabilityVector:
     """Occupancy frequencies p_i = count_i / total over occupied cells.
@@ -123,9 +116,9 @@ def probabilities(hist: OccupancyHistogram) -> ProbabilityVector:
 def shannon_entropy(p: ProbabilityVector) -> float:
     """Shannon information -sum p_i log2 p_i in bits: the general-vector path.
 
-    Zero for a point mass; at most log2(len(p)) with equality at the uniform
-    vector. Compensated summation keeps those bounds sharp. Histograms take
-    the count-class sum of :func:`histogram_entropy` instead.
+    Zero for a point mass; at most log2(p.probs.size) with equality at the
+    uniform vector. Compensated summation keeps those bounds sharp.
+    Histograms take the count-class sum of :func:`histogram_entropy` instead.
     """
     probs = p.probs
     return -math.fsum(probs * np.log2(probs))

@@ -233,6 +233,46 @@ def test_generate_out_of_memory_is_one_line_exit_one(tmp_path, capsys, kind, sam
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["sierpinski", "--rng-seed", "-1"], "rng_seed must be non-negative"),
+        (["sierpinski", "--transient", "-1"], "transient must be non-negative"),
+        (["henon", "--samples", "0"], "samples must be at least 1"),
+        (["cantor", "--level", "0"], "level out of range (expected 1..20)"),
+    ],
+)
+def test_generate_bad_parameter_is_one_line_exit_one(tmp_path, capsys, flags, message):
+    out = tmp_path / "points.csv"
+    assert run(["generate", *flags, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"dimest: error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, name",
+    [
+        (["--reference-dim", "nan"], "reference_dim"),
+        (["--reference-dim", "inf"], "reference_dim"),
+        (["--reference-dim=-inf"], "reference_dim"),
+        (["--tolerance", "nan"], "tolerance"),
+        (["--tolerance", "inf"], "tolerance"),
+        (["--gap-threshold", "nan"], "gap_threshold"),
+        (["--gap-threshold", "inf"], "gap_threshold"),
+    ],
+)
+def test_report_non_finite_parameter_is_one_line_exit_one(tmp_path, capsys, flags, name):
+    # NaN and Infinity have no JSON form (RFC 8259), so no report is written.
+    src = tmp_path / "seg.csv"
+    run(["generate", "segment", "--samples", "100", "--out", str(src)])
+    dst = tmp_path / "report.json"
+    assert run(["report", "--in", str(src), *flags, "--json", str(dst)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"dimest: error: {name} must be finite\n"
+    assert captured.out == ""
+    assert not dst.exists()
+
+
 def test_entropy_of_a_single_cell_prints_negative_zero(tmp_path, capsys):
     src = tmp_path / "one.csv"
     src.write_text("0.25,0.5\n0.25,0.5\n")

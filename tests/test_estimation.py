@@ -260,6 +260,13 @@ class TestBuildReport:
         with pytest.raises(InputError, match="^volume estimates mix ambient dimensions$"):
             build_report(cs, es, volume_estimates=vols)
 
+    @pytest.mark.parametrize("name", ["reference_dim", "tolerance", "gap_threshold"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_rejected(self, name, value):
+        cs, es = _series([1, 2, 3], [2, 4, 8])
+        with pytest.raises(InputError, match=f"^{name} must be finite$"):
+            build_report(cs, es, **{name: value})
+
     def test_config_provenance_merged(self):
         cs, es = _series([1, 2, 3], [2, 4, 8])
         report = build_report(cs, es, config={"generator": "test-fixture"})

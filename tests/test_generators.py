@@ -188,6 +188,11 @@ class TestChaosGame:
                 seed=(0.0, 0.0, 0.0),
             )
 
+    def test_negative_rng_seed_rejected(self):
+        # numpy's PCG64 refuses negative seeds with a ValueError of its own.
+        with pytest.raises(InputError, match="^rng_seed must be non-negative$"):
+            sierpinski_spec(10, rng_seed=-1)
+
 
 class TestCalibrationShapes:
     def test_segment_three_samples(self):

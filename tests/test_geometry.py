@@ -15,7 +15,6 @@ from dimest import (
     PointCloud,
     ScaleSchedule,
     bounding_box,
-    box_index,
     box_indices,
     henon_orbit,
 )
@@ -118,26 +117,26 @@ class TestBoundingBox:
 class TestBoxIndex:
     def test_exact_division_half_open(self):
         grid = GridSpec(anchor=np.zeros(2), epsilon=0.25)
-        assert np.array_equal(box_index(grid, [0.5, 0.5]), [2, 2])
+        assert np.array_equal(box_indices(grid, [[0.5, 0.5]]), [[2, 2]])
 
     def test_floor_of_negative(self):
         grid = GridSpec(anchor=np.zeros(2), epsilon=1.0)
-        assert np.array_equal(box_index(grid, [-0.1, 0.0]), [-1, 0])
+        assert np.array_equal(box_indices(grid, [[-0.1, 0.0]]), [[-1, 0]])
 
     def test_fine_dyadic_cell(self):
         grid = GridSpec(anchor=np.zeros(2), epsilon=2.0**-3)
         # floor(0.99 * 8) = 7, floor(0.01 * 8) = 0
-        assert np.array_equal(box_index(grid, [0.99, 0.01]), [7, 0])
+        assert np.array_equal(box_indices(grid, [[0.99, 0.01]]), [[7, 0]])
 
     def test_rejects_non_finite_point(self):
         grid = GridSpec(anchor=np.zeros(2), epsilon=1.0)
         with pytest.raises(InputError):
-            box_index(grid, [np.nan, 0.0])
+            box_indices(grid, [[np.nan, 0.0]])
 
     def test_rejects_dimension_mismatch(self):
         grid = GridSpec(anchor=np.zeros(2), epsilon=1.0)
         with pytest.raises(InputError):
-            box_index(grid, [1.0, 2.0, 3.0])
+            box_indices(grid, [[1.0, 2.0, 3.0]])
 
     def test_rejects_bad_epsilon(self):
         with pytest.raises(InputError):
@@ -148,15 +147,7 @@ class TestBoxIndex:
     def test_overflow_guard(self):
         grid = GridSpec(anchor=np.zeros(1), epsilon=1e-300)
         with pytest.raises(InputError, match="overflow"):
-            box_index(grid, [1.0])
-
-    def test_vectorized_matches_scalar(self):
-        rng = np.random.default_rng(11)
-        pts = rng.uniform(-3, 3, size=(100, 2))
-        grid = GridSpec(anchor=np.array([-0.3, 0.1]), epsilon=0.17)
-        rows = box_indices(grid, pts)
-        for point, row in zip(pts, rows):
-            assert np.array_equal(box_index(grid, point), row)
+            box_indices(grid, [[1.0]])
 
     @given(
         x=finite_floats,
@@ -167,7 +158,7 @@ class TestBoxIndex:
         eps = 2.0**-k
         moved = GridSpec(anchor=np.array([a]), epsilon=eps)
         centered = GridSpec(anchor=np.array([0.0]), epsilon=eps)
-        assert np.array_equal(box_index(moved, [x]), box_index(centered, [x - a]))
+        assert np.array_equal(box_indices(moved, [[x]]), box_indices(centered, [[x - a]]))
 
     @given(
         xs=st.lists(finite_floats, min_size=2, max_size=20),
@@ -223,5 +214,6 @@ class TestScaleSchedule:
             ScaleSchedule.from_epsilons([])
 
     def test_iteration(self):
-        pairs = list(ScaleSchedule.dyadic(1, 2))
+        sched = ScaleSchedule.dyadic(1, 2)
+        pairs = list(zip(sched.ks.tolist(), sched.epsilons.tolist()))
         assert pairs == [(1.0, 0.5), (2.0, 0.25)]

@@ -1,9 +1,15 @@
-"""Tests and demos use dimest only through its public names."""
+"""Tests and demos use dimest only through its public names, which all exist."""
 
 from __future__ import annotations
 
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
+
+import pytest
+
+import dimest
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "tests").rglob("*.py")) + sorted((ROOT / "demos").rglob("*.py"))
@@ -61,3 +67,19 @@ def test_detector_flags_only_private_dimest_names():
         (5, "_impl"),
         (9, "_INDEX_LIMIT"),
     ]
+
+
+MODULES = ["dimest"] + [f"dimest.{m.name}" for m in pkgutil.iter_modules(dimest.__path__)]
+
+
+def test_modules_found():
+    assert {"dimest", "dimest.cli", "dimest.estimation", "dimest.geometry"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_export_list_resolves_without_repeats(name):
+    # A deleted name left in __all__ would break ``from dimest import *``.
+    module = importlib.import_module(name)
+    exported = getattr(module, "__all__", [])
+    assert [n for n in exported if not hasattr(module, n)] == []
+    assert len(set(exported)) == len(exported)
