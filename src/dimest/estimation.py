@@ -245,6 +245,8 @@ R_SQUARED_WARN = 0.99
 
 def _verdict(name: str, value: float, bound: float, tolerance: float) -> InequalityVerdict:
     margin = bound + tolerance - value
+    if not math.isfinite(margin):
+        raise InputError(f"{name} margin is not finite")
     return InequalityVerdict(name=name, holds=margin >= 0.0, margin=margin)
 
 
@@ -268,7 +270,8 @@ def build_report(
 
     Raises:
         InputError: a non-finite ``reference_dim``, ``tolerance`` or
-            ``gap_threshold``, which would put NaN or Infinity in the JSON.
+            ``gap_threshold``, or an ordering-check margin that overflows,
+            which would put NaN or Infinity in the JSON.
     """
     for name, value in (
         ("reference_dim", reference_dim),

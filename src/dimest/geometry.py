@@ -167,7 +167,8 @@ def box_indices(grid: GridSpec, points: np.ndarray) -> np.ndarray:
         )
     if pts.size and not np.all(np.isfinite(pts)):
         raise InputError("points have non-finite coordinates")
-    scaled = np.floor((pts - grid.anchor) / grid.epsilon)
+    with np.errstate(over="ignore"):  # an infinite index fails the check below
+        scaled = np.floor((pts - grid.anchor) / grid.epsilon)
     if scaled.size and np.max(np.abs(scaled)) >= _INDEX_LIMIT:
         raise InputError("box index overflow: epsilon too small for coordinate range")
     return scaled.astype(np.int64)
@@ -210,7 +211,8 @@ class ScaleSchedule:
         if k_min > k_max:
             raise InputError(f"k_min={k_min} exceeds k_max={k_max}")
         ks = np.arange(int(k_min), int(k_max) + 1, dtype=float)
-        return cls(epsilons=2.0**-ks, ks=ks)
+        with np.errstate(over="ignore"):  # an infinite scale fails the check in cls
+            return cls(epsilons=2.0**-ks, ks=ks)
 
     @classmethod
     def from_epsilons(cls, values: Iterable[float]) -> "ScaleSchedule":
@@ -220,7 +222,8 @@ class ScaleSchedule:
             raise InputError("schedule needs at least one scale")
         if not np.all(np.isfinite(eps)) or np.any(eps <= 0):
             raise InputError("scales must be finite and positive")
-        return cls(epsilons=eps, ks=np.log2(1.0 / eps))
+        with np.errstate(over="ignore"):  # a subnormal eps overflows 1/eps to an infinite label
+            return cls(epsilons=eps, ks=np.log2(1.0 / eps))
 
     def __len__(self) -> int:
         return self.epsilons.size

@@ -273,6 +273,37 @@ def test_report_non_finite_parameter_is_one_line_exit_one(tmp_path, capsys, flag
     assert not dst.exists()
 
 
+def test_report_overflowing_margin_is_one_line_exit_one(tmp_path, capsys):
+    # Each parameter is finite, but the margin 1e308 + 1e308 - slope is not.
+    src = tmp_path / "seg.csv"
+    run(["generate", "segment", "--samples", "100", "--out", str(src)])
+    dst = tmp_path / "report.json"
+    flags = ["--tolerance", "1e308", "--reference-dim=-1e308", "--json", str(dst)]
+    assert run(["report", "--in", str(src), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "dimest: error: reference_le_box margin is not finite\n"
+    assert captured.out == ""
+    assert not dst.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--kmin", "-1100", "--kmax", "2"], "scales must be finite and positive"),
+        (["--epsilons", "1e-320"], "box index overflow: epsilon too small for coordinate range"),
+    ],
+)
+def test_count_overflowing_scale_is_one_line_exit_one(tmp_path, capsys, flags, message):
+    # numpy overflows to inf here; its RuntimeWarning must not reach stderr.
+    src = tmp_path / "seg.csv"
+    run(["generate", "segment", "--samples", "100", "--out", str(src)])
+    capsys.readouterr()
+    assert run(["count", "--in", str(src), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"dimest: error: {message}\n"
+    assert captured.out == ""
+
+
 def test_entropy_of_a_single_cell_prints_negative_zero(tmp_path, capsys):
     src = tmp_path / "one.csv"
     src.write_text("0.25,0.5\n0.25,0.5\n")

@@ -267,6 +267,12 @@ class TestBuildReport:
         with pytest.raises(InputError, match=f"^{name} must be finite$"):
             build_report(cs, es, **{name: value})
 
+    def test_overflowing_margin_rejected(self):
+        # Finite parameters whose margin bound + tolerance - value overflows.
+        cs, es = _series([1, 2, 3], [2, 4, 8])
+        with pytest.raises(InputError, match="^reference_le_box margin is not finite$"):
+            build_report(cs, es, reference_dim=-1e308, tolerance=1e308)
+
     def test_config_provenance_merged(self):
         cs, es = _series([1, 2, 3], [2, 4, 8])
         report = build_report(cs, es, config={"generator": "test-fixture"})

@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dimest import (
     HenonParams,
     IfsSpec,
     InputError,
     OrbitDivergedError,
+    PointCloud,
     cantor_points,
     henon_orbit,
     ifs_chaos_game,
@@ -60,6 +64,11 @@ class TestHenonOrbit:
         with pytest.raises(OrbitDivergedError, match="^orbit diverged at step 4$"):
             henon_orbit(HenonParams(a=2.0, seed=(3.0, 0.0), transient=transient, samples=5))
 
+    def test_impossible_size_keeps_numpys_message(self):
+        # The points are allocated as one (n, 2) numpy array, whose shape the message names.
+        with pytest.raises(MemoryError, match=r"^Unable to allocate .* \(1000000000000000, 2\)"):
+            henon_orbit(HenonParams(samples=10**15))
+
     def test_param_validation(self):
         with pytest.raises(InputError):
             HenonParams(samples=0)
@@ -67,6 +76,133 @@ class TestHenonOrbit:
             HenonParams(transient=-1)
         with pytest.raises(InputError):
             HenonParams(a=float("nan"))
+
+
+def _sha256(cloud) -> str:
+    return hashlib.sha256(cloud.points.tobytes()).hexdigest()
+
+
+def _frozen_henon(params):
+    """The orbit loop as it stored through numpy scalar ``__setitem__``."""
+    a, b = params.a, params.b
+    x, y = float(params.seed[0]), float(params.seed[1])
+    pts = np.empty((params.samples, 2))
+    for i in range(-params.transient, params.samples):
+        x, y = 1.0 - a * x * x + y, b * x
+        if abs(x) > 1.0e6 or abs(y) > 1.0e6:
+            raise OrbitDivergedError(f"orbit diverged at step {params.transient + i + 1}")
+        if i >= 0:
+            pts[i, 0] = x
+            pts[i, 1] = y
+    return PointCloud(pts)
+
+
+def _frozen_chaos_game_2d(spec):
+    """The 2-D chaos-game loop as it iterated numpy ints and float64 scalars."""
+    rng = np.random.default_rng(spec.rng_seed)
+    cum = np.cumsum(spec.probabilities)
+    choice = np.searchsorted(cum, rng.random(spec.transient + spec.samples), side="right")
+    np.minimum(choice, len(spec.maps) - 1, out=choice)
+    out = np.empty((spec.samples, 2))
+    flat = [(m[0, 0], m[0, 1], m[1, 0], m[1, 1], o[0], o[1]) for m, o in spec.maps]
+    x, y = float(spec.seed[0]), float(spec.seed[1])
+    for n, i in enumerate(choice):
+        a11, a12, a21, a22, b1, b2 = flat[i]
+        x, y = a11 * x + a12 * y + b1, a21 * x + a22 * y + b2
+        if n >= spec.transient:
+            out[n - spec.transient, 0] = x
+            out[n - spec.transient, 1] = y
+    return PointCloud(out)
+
+
+def _outcome(generate, arg):
+    """The bytes a generator returns, or the divergence message it raises."""
+    try:
+        result = generate(arg)
+    except OrbitDivergedError as exc:
+        return "diverged", str(exc)
+    return "points", result.points.tobytes()
+
+
+_coordinates = st.floats(-3.0, 3.0, allow_subnormal=False)
+
+
+class TestGoldenBits:
+    """sha256 of ``points.tobytes()``, fixed when the loops were rewritten."""
+
+    def test_canonical_orbit(self, henon_cloud):
+        assert _sha256(henon_cloud) == (
+            "6ef4d0de045ca248f3a83c38bf2e4386eb09b55e24456608eedb1e347d0bde4c"
+        )
+
+    def test_cli_henon_orbit(self):
+        assert _sha256(henon_orbit(HenonParams(samples=200_000))) == (
+            "f96c349b8b2f7c3d50a0005659225fceb42da80be1eb48f749af1c169c066f0a"
+        )
+
+    def test_volume_explicit_sierpinski(self):
+        assert _sha256(ifs_chaos_game(sierpinski_spec(100_000, 0, 1000))) == (
+            "636ef9d80f3b6eb38b4fe9448eb4cef7eb2a8878b46e3d5ddc1056141a7d5f6e"
+        )
+
+
+class TestLoopsMatchFrozenCopies:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        a=st.floats(-4.0, 4.0),
+        b=st.floats(-2.0, 2.0),
+        seed=st.tuples(_coordinates, _coordinates),
+        transient=st.integers(0, 40),
+        samples=st.integers(1, 200),
+    )
+    # From (3, 0) with a = 2 the fourth iterate escapes: in the transient, then after it.
+    @example(a=2.0, b=0.3, seed=(3.0, 0.0), transient=10, samples=5)
+    @example(a=2.0, b=0.3, seed=(3.0, 0.0), transient=3, samples=5)
+    def test_orbit(self, a, b, seed, transient, samples):
+        params = HenonParams(a=a, b=b, seed=seed, transient=transient, samples=samples)
+        assert _outcome(henon_orbit, params) == _outcome(_frozen_henon, params)
+
+    @pytest.mark.parametrize("transient, samples", [(10, 5), (3, 5), (0, 5)])
+    def test_divergence_in_and_after_the_transient(self, transient, samples):
+        params = HenonParams(a=2.0, seed=(3.0, 0.0), transient=transient, samples=samples)
+        expected = ("diverged", "orbit diverged at step 4")
+        assert _outcome(henon_orbit, params) == _outcome(_frozen_henon, params) == expected
+
+    def test_numpy_scalar_coefficients(self):
+        scalar = HenonParams(a=np.float64(1.4), b=np.float64(0.3), samples=1000)
+        plain = henon_orbit(HenonParams(samples=1000))
+        assert henon_orbit(scalar).points.tobytes() == plain.points.tobytes()
+        assert _outcome(henon_orbit, scalar) == _outcome(_frozen_henon, scalar)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        maps=st.lists(
+            st.tuples(
+                st.lists(st.floats(-0.49, 0.49), min_size=4, max_size=4),
+                st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        weights=st.lists(st.integers(0, 5), min_size=4, max_size=4),
+        seed=st.tuples(_coordinates, _coordinates),
+        transient=st.integers(0, 40),
+        samples=st.integers(1, 200),
+        rng_seed=st.integers(0, 2**32),
+    )
+    def test_chaos_game(self, maps, weights, seed, transient, samples, rng_seed):
+        # Entries below 1/2 in magnitude keep the Frobenius, hence the 2-norm, below 1.
+        weights = np.array(weights[: len(maps)], dtype=float)
+        weights[0] += 1.0  # some weights may be zero, not all
+        spec = IfsSpec(
+            maps=tuple((np.reshape(m, (2, 2)), np.array(o)) for m, o in maps),
+            probabilities=tuple(weights / weights.sum()),
+            seed=seed,
+            transient=transient,
+            samples=samples,
+            rng_seed=rng_seed,
+        )
+        assert _outcome(ifs_chaos_game, spec) == _outcome(_frozen_chaos_game_2d, spec)
 
 
 class TestCantorPoints:

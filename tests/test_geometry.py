@@ -149,6 +149,12 @@ class TestBoxIndex:
         with pytest.raises(InputError, match="overflow"):
             box_indices(grid, [[1.0]])
 
+    def test_overflowing_division_is_the_same_error(self):
+        # 1.0 / 1e-320 overflows to inf; no RuntimeWarning comes ahead of the error.
+        grid = GridSpec(anchor=np.zeros(1), epsilon=1e-320)
+        with pytest.raises(InputError, match="overflow"):
+            box_indices(grid, [[1.0]])
+
     @given(
         x=finite_floats,
         a=finite_floats,
@@ -206,6 +212,11 @@ class TestScaleSchedule:
             ScaleSchedule.from_epsilons([0.25, 0.5])
         with pytest.raises(InputError):
             ScaleSchedule.from_epsilons([0.5, 0.5])
+
+    def test_overflowing_scales_raise_without_warning(self):
+        with pytest.raises(InputError, match="^scales must be finite and positive$"):
+            ScaleSchedule.dyadic(-1100, 2)
+        assert ScaleSchedule.from_epsilons([1e-320]).epsilons[0] == 1e-320
 
     def test_positive_scales_only(self):
         with pytest.raises(InputError):
