@@ -364,6 +364,22 @@ def test_diverging_orbit_exit_two(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_orbit_overflow_is_one_line_exit_two(tmp_path):
+    # y_1 = 1e303 * 1e5 overflows to inf; numpy's overflow warning must not reach stderr.
+    out = tmp_path / "orbit.csv"
+    flags = ["--b", "1e303", "--seed-x", "1e5", "--transient", "0", "--samples", "10"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "dimest.cli", "generate", "henon", *flags, "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(Path(dimest.__file__).parents[1])},
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "dimest: error: orbit diverged at step 1\n"
+    assert not out.exists()
+
+
 def test_generate_is_byte_deterministic(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

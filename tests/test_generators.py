@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +69,19 @@ class TestHenonOrbit:
         # The points are allocated as one (n, 2) numpy array, whose shape the message names.
         with pytest.raises(MemoryError, match=r"^Unable to allocate .* \(1000000000000000, 2\)"):
             henon_orbit(HenonParams(samples=10**15))
+
+    def test_size_checked_before_the_transient(self):
+        # a = 5 escapes in the transient, but the impossible allocation fails first.
+        with pytest.raises(MemoryError, match=r"^Unable to allocate "):
+            henon_orbit(HenonParams(a=5.0, transient=100, samples=10**15))
+
+    def test_overflow_past_the_escape_warns_nothing(self):
+        # y_1 = 1e303 * 1e5 overflows to inf: the escape is reported, numpy's warning is not.
+        params = HenonParams(b=1e303, seed=(1e5, 0.0), transient=0, samples=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OrbitDivergedError, match="^orbit diverged at step 1$"):
+                henon_orbit(params)
 
     def test_param_validation(self):
         with pytest.raises(InputError):
@@ -158,6 +172,9 @@ class TestLoopsMatchFrozenCopies:
     # From (3, 0) with a = 2 the fourth iterate escapes: in the transient, then after it.
     @example(a=2.0, b=0.3, seed=(3.0, 0.0), transient=10, samples=5)
     @example(a=2.0, b=0.3, seed=(3.0, 0.0), transient=3, samples=5)
+    # The samples are built in blocks of 2**16: one past a block, and ending inside the third.
+    @example(a=1.4, b=0.3, seed=(0.0, 0.0), transient=1000, samples=2**16 + 1)
+    @example(a=1.4, b=0.3, seed=(0.0, 0.0), transient=1000, samples=3 * 2**16 - 5)
     def test_orbit(self, a, b, seed, transient, samples):
         params = HenonParams(a=a, b=b, seed=seed, transient=transient, samples=samples)
         assert _outcome(henon_orbit, params) == _outcome(_frozen_henon, params)
@@ -166,6 +183,12 @@ class TestLoopsMatchFrozenCopies:
     def test_divergence_in_and_after_the_transient(self, transient, samples):
         params = HenonParams(a=2.0, seed=(3.0, 0.0), transient=transient, samples=samples)
         expected = ("diverged", "orbit diverged at step 4")
+        assert _outcome(henon_orbit, params) == _outcome(_frozen_henon, params) == expected
+
+    def test_divergence_in_a_later_block(self):
+        # With a = 0, x' = 1 + b * x_prev grows like b**(n/2) and escapes in the second block.
+        params = HenonParams(a=0.0, b=1.0001, transient=0, samples=100_000)
+        expected = ("diverged", "orbit diverged at step 92306")
         assert _outcome(henon_orbit, params) == _outcome(_frozen_henon, params) == expected
 
     def test_numpy_scalar_coefficients(self):
