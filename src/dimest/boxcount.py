@@ -15,16 +15,33 @@ in the limit; keeping both implemented separately makes that agreement a
 checkable property rather than a tautology.
 
 Occupancy is stored sparsely (occupied cells only) keyed by integer index
-vectors, which scales to millions of points; cells are kept in lexicographic
-index order so all downstream reductions are deterministic.
+vectors, which scales to millions of points; histograms list their cells in
+lexicographic index order so all downstream reductions are deterministic.
 
 On a dyadic schedule, with every scale exactly ``2.0**-k`` for an integer
 k >= 0, the points are indexed only at the finest scale k_max: dividing by
 ``2**-k`` is then an exact multiplication, so
 ``floor(y * 2**k) == floor(y * 2**k_max) >> (k_max - k)`` (the arithmetic
-shift floors negative indices too), and each coarser histogram is the finer
-one's cells shifted and merged. Other schedules, negative k among them (where
+shift floors negative indices too). Each axis is offset by a multiple of
+``2**(k_max - k_min)`` (of ``2**62`` past that; every index has
+``|i| < 2**62``, so any larger shift floors alike), which makes the indices
+non-negative and keeps ``(i - o) >> s == (i >> s) - (o >> s)`` at every
+scale. Their bits are interleaved axis by axis into one Z-order (Morton) key,
+sorted once and run-length encoded. A cell at scale k is then the key shifted
+right by ``d * (k_max - k)``: the shift of a sorted array is still sorted, so
+each coarser scale merges runs of the finer one's cells (``np.add.reduceat``)
+without another sort. Keys have 63 bits, ``63 // d`` per axis; scales whose
+offset indices need more bits than that (the finest scales of very wide
+spans) are counted one by one from the shifted finest indices, as every
+scale of any other schedule is. Other schedules, negative k among them (where
 ``y / 2**-k`` can round a tiny negative ``y`` to -0.0), index every scale.
+
+Each scale's count n(eps) and entropy S(eps) (``occupancy_entropy``) are
+taken as the pass reaches it, and each cloud keeps only these scalars of its
+last pass, so ``count_series`` then ``entropy_series`` index the points once.
+Histograms are built, and kept with the scalars, only when
+``occupancy_series`` asks for them: each Z-order scale's keys are then
+de-interleaved and its cells put in lexicographic order.
 """
 
 from __future__ import annotations
@@ -46,6 +63,8 @@ __all__ = [
     "VolumeEstimate",
     "count_boxes",
     "resolve_anchor",
+    "occupancy_entropy",
+    "occupancy_scalars",
     "occupancy_series",
     "count_series",
     "volume_estimate",
@@ -63,9 +82,10 @@ VOLUME_MAX_CELLS = 1 << 25
 # cannot outdate its tree, which is freed with it.
 _TREES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
-# The last occupancy_series result of each cloud, keyed by anchor and schedule,
-# so counts and entropy on one cloud share a pass; freed with the cloud.
-_HISTOGRAMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# The last occupancy pass of each cloud, keyed by anchor and schedule: its
+# counts and entropies, and its histograms once occupancy_series asked for
+# them; freed with the cloud.
+_PASSES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 # Packed keys spanning at most this many cells are tallied in a dense array
 # (8 MB of int64) rather than sorted.
@@ -175,38 +195,51 @@ def _unique_index_counts(idx: np.ndarray, weights=None) -> tuple[np.ndarray, np.
     dims = tuple(int(col.max() - low + 1) for col, low in zip(cols, lo))
     capacity = math.prod(dims)
     if capacity >= 2**63:
-        # Too wide to pack: row-wise unique, rows numbered in order.
-        rows, keys = np.unique(idx, axis=0, return_inverse=True)
-        return rows, _dense_tally(keys.ravel(), weights, rows.shape[0])
+        # Too wide to pack: sort the rows column by column (np.lexsort takes
+        # the most significant key last) and merge runs of equal rows.
+        order = np.lexsort(cols[::-1])
+        cols = [col[order] for col in cols]
+        starts = np.zeros(len(order), dtype=bool)
+        starts[:1] = True
+        for col in cols:
+            starts[1:] |= col[1:] != col[:-1]
+        starts = np.flatnonzero(starts)
+        if weights is None:
+            counts = np.diff(np.append(starts, len(order)))
+        else:
+            counts = np.add.reduceat(weights[order], starts)
+        return np.stack([col[starts] for col in cols], axis=1), counts
     keys = cols[0] - lo[0]  # C-order mixed-radix packing, as np.ravel_multi_index
     for col, low, size in zip(cols[1:], lo[1:], dims[1:]):
         keys = keys * size + (col - low)
     if capacity <= _DENSE_CELLS:
-        tally = _dense_tally(keys, weights, capacity)
+        tally = np.zeros(capacity, dtype=np.int64)
+        np.add.at(tally, keys, 1 if weights is None else weights)
         ukeys = np.flatnonzero(tally)
         counts = tally[ukeys]
     elif weights is None:
         ukeys, counts = np.unique(keys, return_counts=True)
     else:
-        order = np.argsort(keys, kind="stable")  # finer rows come in sorted runs
+        order = np.argsort(keys, kind="stable")
         keys = keys[order]
-        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        starts = _run_starts(keys)
         ukeys, counts = keys[starts], np.add.reduceat(weights[order], starts)
     rows = np.stack(np.unravel_index(ukeys, dims), axis=1).astype(np.int64) + lo
     return rows, counts
 
 
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Positions where a run of equal values starts in a sorted 1-d array."""
+    starts = np.empty(len(keys), dtype=bool)
+    starts[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    return np.flatnonzero(starts)
+
+
 def _distinct(keys: np.ndarray) -> np.ndarray:
     """Sorted distinct values of a 1-d int array, which is sorted in place."""
     keys.sort()
-    return keys[np.r_[True, keys[1:] != keys[:-1]]]
-
-
-def _dense_tally(keys: np.ndarray, weights, size: int) -> np.ndarray:
-    """Summed weights (1 per key without them) of each key in ``range(size)``."""
-    tally = np.zeros(size, dtype=np.int64)
-    np.add.at(tally, keys, 1 if weights is None else weights)
-    return tally
+    return keys[_run_starts(keys)]
 
 
 def count_boxes(cloud: PointCloud, grid: GridSpec) -> tuple[int, OccupancyHistogram]:
@@ -231,60 +264,207 @@ def resolve_anchor(cloud: PointCloud, anchor=None) -> np.ndarray:
     return vec
 
 
+def occupancy_entropy(counts, total: int) -> float:
+    """Shannon information in bits of cells holding ``counts`` of ``total`` points.
+
+    Summed by count class: ``-sum_j m_j * t_j`` over the distinct counts
+    (``m_j`` cells each), with ``t_j = p_j * log2(p_j)`` and
+    ``p_j = count_j / total`` as numpy computes them. Each ``t_j`` is a dyadic
+    rational, so the sum is exact in integers, and one int/int division
+    rounds it correctly, as ``math.fsum`` over the cells does: the same double
+    in any cell order.
+    """
+    values, mult = np.unique(counts, return_counts=True)
+    if values.size == 0:
+        raise InputError("probability vector must be 1-d and non-empty")
+    p = values / float(total)
+    ratios = [t.as_integer_ratio() for t in (p * np.log2(p)).tolist()]
+    den = max(d for _, d in ratios)  # a power of 2, a multiple of every d
+    return -(sum(m * n * (den // d) for m, (n, d) in zip(mult.tolist(), ratios)) / den)
+
+
+def _interleave_steps(d: int, bits: int) -> list[tuple[int, int, int]]:
+    """(shift, mask of groups of c, mask of groups of 2c) for c = 1, 2, 4, ... < bits.
+
+    In "groups of g", bit j of a ``bits``-bit value sits at bit
+    ``(j // g) * g * d + j % g``: g >= bits is the value itself and g = 1 its
+    bits ``d`` apart, their places in a d-axis Z-order key. Shifting the
+    upper half of every 2c-bit group up by ``c * (d - 1)`` (or back down)
+    turns groups of 2c into groups of c (or back); the mask clears the copies
+    the shift leaves behind.
+    """
+
+    def mask(g: int) -> int:
+        return sum(1 << (j // g * g * d + j % g) for j in range(bits))
+
+    sizes = [1 << e for e in range(max(bits - 1, 0).bit_length())]
+    return [(c * (d - 1), mask(c), mask(2 * c)) for c in sizes]
+
+
+def _spread_table(d: int, bits: int) -> np.ndarray:
+    """Every ``bits``-bit value with bit j moved to bit d*j, as uint64."""
+    x = np.arange(1 << bits, dtype=np.uint64)
+    for shift, groups, _ in reversed(_interleave_steps(d, bits)):
+        x |= x << shift
+        x &= groups
+    return x
+
+
+def _interleave(cols: list, bits: int) -> np.ndarray:
+    """Z-order keys of non-negative ``bits``-bit int64 columns, axis 0 most significant.
+
+    Each column is spread through a table, up to 16 bits at a time.
+    """
+    d = len(cols)
+    if d == 1:
+        return cols[0].view(np.uint64)
+    step = max(min(16, 63 // d, bits), 1)
+    table = _spread_table(d, step)
+    keys = np.zeros(len(cols[0]), dtype=np.uint64)
+    for axis, col in enumerate(cols):
+        for low in range(0, bits, step):
+            part = col >> low if low else col
+            if bits - low > step:
+                part = part & ((1 << step) - 1)
+            keys |= table.take(part) << (d * low + d - 1 - axis)
+    return keys
+
+
+def _deinterleave(keys: np.ndarray, d: int, bits: int) -> list:
+    """The int64 columns of ``bits`` bits each that :func:`_interleave` made ``keys`` of."""
+    steps = _interleave_steps(d, bits)
+    cols = []
+    for axis in range(d):
+        x = keys >> (d - 1 - axis)
+        x &= steps[0][1] if steps else (1 << bits) - 1
+        for shift, _, groups in steps:
+            x |= x >> shift
+            x &= groups
+        cols.append(x.view(np.int64))
+    return cols
+
+
+def _zorder_scales(cloud: PointCloud, resolved: np.ndarray, schedule: ScaleSchedule, rows: bool):
+    """(scale number, cell counts, index rows or None) of a dyadic schedule, finest first.
+
+    Rows, when asked for, are in lexicographic order with their counts;
+    otherwise the counts come in Z-order. See the module docstring.
+    """
+    ks = schedule.ks
+    idx = box_indices(GridSpec(resolved, schedule.epsilons[-1]), cloud.points)
+    shifts = [min(int(ks[-1] - k), 62) for k in ks]
+    offsets = [int(col.min()) >> shifts[0] << shifts[0] for col in idx.T]
+    cols = [col - offset for col, offset in zip(idx.T, offsets)]
+    del idx
+    d, width = len(cols), max(int(col.max()).bit_length() for col in cols)
+    least = width - 63 // d  # the least shift whose cells fit in a 63-bit key
+    keys = None
+    for i in range(len(ks) - 1, -1, -1):
+        shift = shifts[i]
+        if shift < least:
+            cells, counts = _unique_index_counts(np.stack([col >> shift for col in cols], axis=1))
+            yield i, counts, cells + [o >> shift for o in offsets] if rows else None
+            continue
+        level = min(shift, width)
+        if keys is None:
+            keys = _interleave([col >> level if level else col for col in cols], width - level)
+            cols = None
+            keys.sort()
+            starts = _run_starts(keys)
+            keys, counts = keys[starts], np.diff(np.append(starts, len(keys)))
+        elif level > finer:
+            keys >>= d * (level - finer)
+            starts = _run_starts(keys)
+            keys, counts = keys[starts], np.add.reduceat(counts, starts)
+        finer = level
+        if rows:
+            cells = np.stack(_deinterleave(keys, d, width - level), axis=1)
+            cells, lex_counts = _unique_index_counts(cells + [o >> shift for o in offsets], counts)
+            yield i, lex_counts, cells
+        else:
+            yield i, counts, None
+
+
+def _each_scale(cloud: PointCloud, resolved: np.ndarray, epsilons: np.ndarray):
+    """(scale number, cell counts, index rows) of each scale counted from the points."""
+    for i, eps in enumerate(epsilons):
+        hist = count_boxes(cloud, GridSpec(resolved, eps))[1]
+        yield i, hist.counts, hist.indices
+
+
+def _occupancy(cloud: PointCloud, schedule: ScaleSchedule, resolved: np.ndarray, histograms: bool):
+    """Counts, entropies and (if asked for, else None) histograms of one pass.
+
+    Each cloud keeps its last pass; a later call with the same resolved
+    anchor and schedule reuses it unless it asks for histograms the pass
+    did not build. Clouds and schedules are immutable, so a kept pass cannot
+    be outdated.
+    """
+    key = (resolved.tobytes(), schedule.ks.tobytes(), schedule.epsilons.tobytes())
+    kept = _PASSES.get(cloud)
+    if kept is not None and kept[0] == key and (kept[3] is not None or not histograms):
+        return kept[1:]
+    if len(cloud) == 0:
+        raise InputError("empty point set")
+    ks, epsilons = schedule.ks, schedule.epsilons
+    if np.all(ks == np.floor(ks)) and np.all(ks >= 0) and np.array_equal(epsilons, 2.0**-ks):
+        scales = _zorder_scales(cloud, resolved, schedule, histograms)
+    else:
+        scales = _each_scale(cloud, resolved, epsilons)
+    n = len(schedule)
+    counts, bits, hists = np.empty(n, dtype=np.int64), np.empty(n), [None] * n
+    for i, cell_counts, cells in scales:
+        counts[i], bits[i] = len(cell_counts), occupancy_entropy(cell_counts, len(cloud))
+        if histograms:
+            hists[i] = OccupancyHistogram(float(epsilons[i]), cells, cell_counts, len(cloud))
+    counts.setflags(write=False)
+    bits.setflags(write=False)
+    kept = _PASSES[cloud] = (key, counts, bits, tuple(hists) if histograms else None)
+    return kept[1:]
+
+
 def occupancy_series(
     cloud: PointCloud, schedule: ScaleSchedule, anchor=None
 ) -> list[OccupancyHistogram]:
     """Occupancy histograms at every scheduled scale with a shared anchor.
 
-    On a dyadic schedule (every scale exactly ``2**-k``, integer k >= 0) the
-    points are indexed once, at the finest scale, and each coarser histogram
-    is the next finer one's occupied cells shifted right by the difference
-    in k and merged. Any other schedule counts each scale from the points in
-    turn. Both give the same histograms bit for bit.
+    Dyadic schedules index the points once and derive every scale from one
+    sorted Z-order key array; other schedules count each scale from the
+    points in turn (see the module docstring). Both give the histograms of
+    :func:`count_boxes` bit for bit.
 
-    The last result is kept while the cloud lives, so a second call with the
-    same resolved anchor and schedule (``count_series`` then
-    ``entropy_series``, say) returns the same immutable histograms in a new
-    list without indexing the points again. Clouds and schedules are
-    immutable, so a kept result cannot be outdated.
+    The histograms are kept with the counts and entropies while the cloud
+    lives, so a second call with the same resolved anchor and schedule
+    returns the same immutable histograms in a new list, and a
+    ``count_series`` or ``entropy_series`` after it reuses the pass.
     """
     resolved = resolve_anchor(cloud, anchor)
-    key = (resolved.tobytes(), schedule.ks.tobytes(), schedule.epsilons.tobytes())
-    kept = _HISTOGRAMS.get(cloud)
-    if kept is not None and kept[0] == key:
-        return list(kept[1])
+    return list(_occupancy(cloud, schedule, resolved, histograms=True)[2])
 
-    def one(eps: float) -> OccupancyHistogram:
-        return count_boxes(cloud, GridSpec(anchor=resolved, epsilon=eps))[1]
 
-    ks, epsilons = schedule.ks, schedule.epsilons
-    if np.all(ks == np.floor(ks)) and np.all(ks >= 0) and np.array_equal(epsilons, 2.0**-ks):
-        hists = [one(epsilons[-1])]
-        for i in range(len(schedule) - 2, -1, -1):
-            finer = hists[-1]
-            # |index| < 2**62, so shifting by 63 floors like any larger shift.
-            shift = min(int(ks[i + 1] - ks[i]), 63)
-            rows, counts = _unique_index_counts(finer.indices >> shift, finer.counts)
-            hists.append(OccupancyHistogram(float(epsilons[i]), rows, counts, finer.total))
-        hists.reverse()
-    else:
-        hists = [one(eps) for eps in epsilons]
-    _HISTOGRAMS[cloud] = (key, tuple(hists))
-    return hists
+def occupancy_scalars(cloud: PointCloud, schedule: ScaleSchedule, anchor=None) -> tuple:
+    """Occupied counts n(eps) and entropies S(eps) in bits over the schedule.
+
+    Both come from one occupancy pass, of which each cloud keeps only these
+    per-scale scalars (the histograms only after :func:`occupancy_series`):
+    a second call with the same resolved anchor and schedule indexes nothing.
+    The entropies are :func:`occupancy_entropy` of each scale's cell counts.
+    """
+    counts, bits, _ = _occupancy(cloud, schedule, resolve_anchor(cloud, anchor), histograms=False)
+    return counts, bits
 
 
 def count_series(cloud: PointCloud, schedule: ScaleSchedule, anchor=None) -> CountSeries:
     """Occupied-cell counts n(epsilon) over the schedule, k ascending.
 
-    The counts come from :func:`occupancy_series`, so an ``entropy_series``
+    The counts come from :func:`occupancy_scalars`, so an ``entropy_series``
     on the same cloud, schedule and anchor reuses its pass.
     """
     resolved = resolve_anchor(cloud, anchor)
-    hists = occupancy_series(cloud, schedule, anchor=resolved)
     return CountSeries(
         ks=schedule.ks,
         epsilons=schedule.epsilons,
-        counts=np.array([h.occupied for h in hists], dtype=np.int64),
+        counts=occupancy_scalars(cloud, schedule, resolved)[0],
         anchor=resolved,
         n_points=len(cloud),
     )

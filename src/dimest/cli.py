@@ -191,13 +191,15 @@ def _load_with_schedule(args):
 
 def _cmd_count(args) -> int:
     cloud, schedule, anchor = _load_with_schedule(args)
+    # Histograms first: the counts then reuse their pass.
+    hists = occupancy_series(cloud, schedule, anchor) if args.histogram is not None else None
     series = count_series(cloud, schedule, anchor)
     lines = ["k,epsilon,count"]
     lines += [f"{_fmt_k(k)},{_fmt(e)},{c}" for k, e, c in series.entries]
     _emit("\n".join(lines) + "\n", args.out)
-    if args.histogram is not None:
+    if hists is not None:
         scales = []
-        for k, hist in zip(schedule.ks, occupancy_series(cloud, schedule, anchor)):
+        for k, hist in zip(schedule.ks, hists):
             cells = {
                 ",".join(str(i) for i in row): int(c)
                 for row, c in zip(hist.indices, hist.counts)

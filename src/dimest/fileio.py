@@ -28,8 +28,9 @@ __all__ = ["load_points_csv", "save_points_csv", "atomic_write_text"]
 
 # Leading blank and ASCII comment lines, each one line to str.splitlines too.
 _HEADER = re.compile(rb"(?:(?:#[\t -~]*|[ \t]*)(?:\r\n?|\n))*")
-# Rows that np.loadtxt either rejects or reads exactly as float() does.
-_PLAIN_ROWS = re.compile(rb"[0-9+\-.eE,\r\n \t]*")
+# The bytes of rows that np.loadtxt either rejects or reads exactly as
+# float() does: a file holding no other byte after its header is plain.
+_PLAIN_BYTES = b"0123456789+-.eE,\r\n \t"
 # A line of only spaces and tabs after a row: np.loadtxt rejects it, the
 # parser skips it, and emptied it is a blank line np.loadtxt skips too.
 _BLANK_ROW = re.compile(rb"([\r\n])[ \t]+(?![^\r\n])")
@@ -76,7 +77,7 @@ def load_points_csv(path) -> PointCloud:
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
     start = _HEADER.match(data).end()
-    if start < len(data) and _PLAIN_ROWS.fullmatch(data, start):
+    if start < len(data) and not data[start:].translate(None, _PLAIN_BYTES):
         stream = io.BytesIO(data)
         stream.seek(start)
         # Rows as save_points_csv writes them hold no space or tab to blank.

@@ -222,8 +222,11 @@ class ScaleSchedule:
             raise InputError("schedule needs at least one scale")
         if not np.all(np.isfinite(eps)) or np.any(eps <= 0):
             raise InputError("scales must be finite and positive")
-        with np.errstate(over="ignore"):  # a subnormal eps overflows 1/eps to an infinite label
-            return cls(epsilons=eps, ks=np.log2(1.0 / eps))
+        with np.errstate(over="ignore"):
+            ks = np.log2(1.0 / eps)
+        overflowed = np.isinf(ks)  # 1/eps for eps <= 2**-1024; -log2(eps) is finite
+        ks[overflowed] = -np.log2(eps[overflowed])
+        return cls(epsilons=eps, ks=ks)
 
     def __len__(self) -> int:
         return self.epsilons.size

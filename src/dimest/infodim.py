@@ -11,14 +11,15 @@ log2 n(eps) with equality exactly at uniform occupancy, which is why the
 information dimension can never exceed the box-counting dimension.
 
 Terms with p_i = 0 are dropped at construction (0*log 0 := 0): only occupied
-cells enter. Histogram entropies (``histogram_entropy``) are summed by count
-class: cells with equal counts give bit-equal terms, so S is the exact sum of
-multiplicity times term over the distinct counts, accumulated in integers and
-rounded once. That is the same double as the correctly rounded ``math.fsum``
-over every cell, so the result does not depend on cell order or on how the
-histograms were built. ``entropy_series`` takes its histograms from
-``occupancy_series``, so it shares one occupancy pass with a ``count_series``
-on the same cloud, schedule and anchor.
+cells enter. Occupancy entropies (``histogram_entropy``, ``entropy_series``)
+are summed by count class (``boxcount.occupancy_entropy``): cells with equal
+counts give bit-equal terms, so S is the exact sum of multiplicity times term
+over the distinct counts, accumulated in integers and rounded once. That is
+the same double as the correctly rounded ``math.fsum`` over every cell, so
+the result does not depend on cell order or on how the cells were found.
+``entropy_series`` takes its entropies from ``occupancy_scalars``, so it
+shares one occupancy pass with a ``count_series`` on the same cloud, schedule
+and anchor.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxcount import OccupancyHistogram, occupancy_series, resolve_anchor
+from .boxcount import OccupancyHistogram, occupancy_entropy, occupancy_scalars, resolve_anchor
 from .errors import InputError
 from .estimation import entropy_fit
 from .geometry import PointCloud, ScaleSchedule
@@ -124,48 +125,34 @@ def shannon_entropy(p: ProbabilityVector) -> float:
     return -math.fsum(probs * np.log2(probs))
 
 
-def _class_sum(mult: np.ndarray, terms: np.ndarray) -> float:
-    """Correctly rounded ``sum(mult * terms)``; float denominators are powers of 2."""
-    ratios = [t.as_integer_ratio() for t in terms.tolist()]
-    den = max(d for _, d in ratios)
-    return sum(m * n * (den // d) for m, (n, d) in zip(mult.tolist(), ratios)) / den
-
-
 def histogram_entropy(hist: OccupancyHistogram) -> float:
     """``shannon_entropy(probabilities(hist))`` summed by count class.
 
-    The entropy is ``-sum_j m_j * t_j`` over the distinct counts (``m_j``
-    cells each), with ``t_j = p_j * log2(p_j)`` from the numpy expressions of
-    ``shannon_entropy(probabilities(hist))``. Each ``t_j`` is a dyadic
-    rational, so the sum is exact in integers, and one int/int division
-    rounds it correctly, as ``math.fsum`` over the cells does: same double.
+    This is :func:`~dimest.boxcount.occupancy_entropy` of the histogram's
+    counts: the same double as ``math.fsum`` over the cells.
 
     The probabilities need no sum check: ``OccupancyHistogram`` holds counts
     summing to ``total`` exactly, and each ``p_j`` is off by a relative
     3 * 2**-53 at most (count and total to float, then the division), so the
     exact class sum is within 3 * 2**-53 of 1.
     """
-    counts, mult = np.unique(hist.counts, return_counts=True)
-    if counts.size == 0:
-        raise InputError("probability vector must be 1-d and non-empty")
-    p = counts / float(hist.total)
-    return -_class_sum(mult, p * np.log2(p))
+    return occupancy_entropy(hist.counts, hist.total)
 
 
 def entropy_series(cloud: PointCloud, schedule: ScaleSchedule, anchor=None) -> EntropySeries:
-    """S(epsilon) over the schedule from the cloud's occupancy histograms.
+    """S(epsilon) over the schedule from the cloud's occupancy pass.
 
-    Each scale's entropy is :func:`histogram_entropy` of its histogram from
-    :func:`~dimest.boxcount.occupancy_series`, so a ``count_series`` on the
+    The entropies and occupied counts come from
+    :func:`~dimest.boxcount.occupancy_scalars`, so a ``count_series`` on the
     same cloud, schedule and anchor reuses its pass.
     """
     resolved = resolve_anchor(cloud, anchor)
-    hists = occupancy_series(cloud, schedule, anchor=resolved)
+    counts, bits = occupancy_scalars(cloud, schedule, resolved)
     return EntropySeries(
         ks=schedule.ks,
         epsilons=schedule.epsilons,
-        entropy_bits=np.array([histogram_entropy(h) for h in hists], dtype=float),
-        occupied=np.array([h.occupied for h in hists], dtype=np.int64),
+        entropy_bits=bits,
+        occupied=counts,
         anchor=resolved,
     )
 

@@ -6,6 +6,7 @@ import gc
 import math
 import re
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -17,6 +18,7 @@ from scipy.spatial import cKDTree
 import dimest.boxcount
 from dimest import (
     GridSpec,
+    HenonParams,
     InputError,
     PointCloud,
     ScaleSchedule,
@@ -25,9 +27,12 @@ from dimest import (
     count_boxes,
     count_series,
     entropy_series,
+    henon_orbit,
     ifs_chaos_game,
     loglog_fit,
     occupancy_series,
+    probabilities,
+    shannon_entropy,
     sierpinski_spec,
     uniform_segment,
     volume_dimension,
@@ -103,6 +108,18 @@ class TestUniqueIndexCounts:
         idx = np.array(
             [[0, 0], [2**33, 2**33], [0, 0], [-(2**33), 5]], dtype=np.int64
         )
+        rows, counts = self.unit_grid_histogram(idx)
+        expect_rows, expect_counts = np.unique(idx, axis=0, return_counts=True)
+        assert np.array_equal(rows, expect_rows)
+        assert np.array_equal(counts, expect_counts)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_wide_span_fallback_random(self, d):
+        rng = np.random.default_rng(d)
+        idx = rng.integers(-(2**40), 2**40, size=(500, d)).astype(np.int64)
+        near = idx[:50].copy()
+        near[:, -1] += 7  # rows equal but in the last column
+        idx = np.concatenate([idx, idx[rng.integers(0, 500, size=300)], near])
         rows, counts = self.unit_grid_histogram(idx)
         expect_rows, expect_counts = np.unique(idx, axis=0, return_counts=True)
         assert np.array_equal(rows, expect_rows)
@@ -224,9 +241,13 @@ def count_boxes_calls(monkeypatch):
 
 @st.composite
 def dyadic_cases(draw):
-    """A cloud (d = 1..3, duplicates, tiny or plain scale), anchor and dyadic schedule."""
+    """A cloud (d = 1..3, duplicates, tiny or plain scale), anchor and dyadic schedule.
+
+    At unit 2**-24 the finest scales of k up to 70 span up to 2**49 cells, too
+    wide for a Z-order key at d = 2 and 3, yet never overflow.
+    """
     d = draw(st.integers(min_value=1, max_value=3))
-    unit = draw(st.sampled_from([1.0, 2.0**-40, 1e-300]))
+    unit = draw(st.sampled_from([1.0, 2.0**-24, 2.0**-40, 1e-300]))
     coord = st.floats(min_value=-8, max_value=8, allow_nan=False).map(lambda v: v * unit)
     points = draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=1, max_size=30))
     points += [points[i] for i in draw(st.lists(st.integers(0, len(points) - 1), max_size=10))]
@@ -274,10 +295,11 @@ class TestDyadicHierarchy:
             ScaleSchedule.from_epsilons([1.0, 0.125, 2.0**-9]),
         ],
     )
-    def test_dyadic_schedules_index_points_once(self, count_boxes_calls, schedule):
+    def test_dyadic_schedules_index_points_once(self, box_indices_calls, schedule):
         cloud = ifs_chaos_game(sierpinski_spec(5000, rng_seed=1))
-        assert_same_histograms(occupancy_series(cloud, schedule), per_scale(cloud, schedule))
-        assert count_boxes_calls == [schedule.epsilons[-1]]
+        hists = occupancy_series(cloud, schedule)
+        assert box_indices_calls == [schedule.epsilons[-1]]
+        assert_same_histograms(hists, per_scale(cloud, schedule))
 
     @pytest.mark.parametrize(
         "schedule",
@@ -332,6 +354,55 @@ class TestDyadicHierarchy:
 
 
 SHARED_SCHEDULES = [ScaleSchedule.dyadic(2, 9), ScaleSchedule.from_epsilons([0.3, 0.2, 0.1])]
+
+
+class TestScalarPass:
+    """count_series and entropy_series against every scale counted from the points."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=dyadic_cases())
+    def test_counts_and_entropy_match_per_scale(self, case):
+        cloud, anchor, schedule = case
+        try:
+            expected = per_scale(cloud, schedule, anchor)
+        except InputError as exc:
+            with pytest.raises(InputError, match=f"^{re.escape(str(exc))}$"):
+                count_series(cloud, schedule, anchor)
+            return
+        counts = count_series(cloud, schedule, anchor)
+        entropies = entropy_series(cloud, schedule, anchor)
+        occupied = [h.occupied for h in expected]
+        bits = np.array([shannon_entropy(probabilities(h)) for h in expected])
+        assert counts.counts.tolist() == entropies.occupied.tolist() == occupied
+        assert entropies.entropy_bits.tobytes() == bits.tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_spans_too_wide_to_interleave(self, d):
+        # About 2**41 cells an axis at k = 40: the finest scales are counted
+        # one by one, the coarser ones from Z-order keys, all as per scale.
+        rng = np.random.default_rng(d)
+        cloud = PointCloud(rng.uniform(-1.0, 1.0, size=(3000, d)) ** 3)
+        schedule = ScaleSchedule.dyadic(0, 40)
+        for anchor in (None, np.zeros(d)):
+            expected = per_scale(cloud, schedule, anchor)
+            assert_same_histograms(occupancy_series(cloud, schedule, anchor), expected)
+            bits = np.array([shannon_entropy(probabilities(h)) for h in expected])
+            fresh = PointCloud(cloud.points)
+            assert count_series(fresh, schedule, anchor).counts.tolist() == [
+                h.occupied for h in expected
+            ]
+            assert entropy_series(fresh, schedule, anchor).entropy_bits.tobytes() == bits.tobytes()
+
+    def test_histograms_after_counts_match_and_are_kept(self, box_indices_calls):
+        cloud = ifs_chaos_game(sierpinski_spec(5000, rng_seed=6))
+        schedule = SHARED_SCHEDULES[0]
+        counts = count_series(cloud, schedule)
+        hists = occupancy_series(cloud, schedule)  # the kept scalars hold no histograms
+        assert len(box_indices_calls) == 2
+        assert counts.counts.tolist() == [h.occupied for h in hists]
+        entropy_series(cloud, schedule)
+        assert all(a is b for a, b in zip(occupancy_series(cloud, schedule), hists))
+        assert len(box_indices_calls) == 2
 
 
 class TestSharedPass:
@@ -397,6 +468,23 @@ class TestSharedPass:
         del cloud
         gc.collect()
         assert ref() is None
+
+
+    def test_counts_and_entropy_keep_only_scalars(self):
+        # Past saturation each of the 41 scales holds about one cell a point:
+        # kept histograms would hold tens of MB while the cloud lives.
+        cloud = henon_orbit(HenonParams(samples=10**5))
+        schedule = ScaleSchedule.dyadic(0, 40)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            count_series(cloud, schedule)
+            entropy_series(cloud, schedule)
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 2**20
 
 
 def _full_grid_volume(cloud: PointCloud, eps: float) -> float:

@@ -304,6 +304,16 @@ def test_count_overflowing_scale_is_one_line_exit_one(tmp_path, capsys, flags, m
     assert captured.out == ""
 
 
+def test_subnormal_epsilon_prints_a_finite_label(tmp_path, capsys):
+    # 1/1e-320 overflows; the row carries -log2(1e-320), not inf.
+    src = tmp_path / "p.csv"
+    src.write_text("0,0\n")
+    assert run(["count", "--in", str(src), "--epsilons", "1e-320", "--anchor", "origin"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"k,epsilon,count\n{float(-np.log2(1e-320))!r},1e-320,1\n"
+    assert captured.err == ""
+
+
 def test_entropy_of_a_single_cell_prints_negative_zero(tmp_path, capsys):
     src = tmp_path / "one.csv"
     src.write_text("0.25,0.5\n0.25,0.5\n")

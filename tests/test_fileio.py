@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 import stat
 
 import numpy as np
@@ -365,3 +366,20 @@ def csv_texts(draw):
 )
 def test_reader_matches_reference_property(tmp_path_factory, text):
     assert_reads_as_reference(tmp_path_factory.mktemp("read") / "pts.csv", text)
+
+
+_PLAIN = b"0123456789+-.eE,\r\n \t"
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    data=st.one_of(
+        st.binary(max_size=64),
+        st.lists(st.sampled_from(list(_PLAIN + b"\x00#Ax\x80\xff")), max_size=64).map(bytes),
+    )
+)
+def test_plain_byte_check_agrees_with_the_row_regex(data):
+    # The byte-deletion check that picks the np.loadtxt path accepts exactly
+    # the strings the row regex it replaced fully matched.
+    regex = re.compile(rb"[0-9+\-.eE,\r\n \t]*")
+    assert (not data.translate(None, _PLAIN)) == bool(regex.fullmatch(data))

@@ -218,6 +218,15 @@ class TestScaleSchedule:
             ScaleSchedule.dyadic(-1100, 2)
         assert ScaleSchedule.from_epsilons([1e-320]).epsilons[0] == 1e-320
 
+    def test_subnormal_epsilon_gets_a_finite_label(self):
+        # 1/eps overflows from 2**-1024 down; the label is -log2(eps) there
+        # and log2(1/eps), bit for bit, everywhere else.
+        eps = [1.0, 0.3, 1e-300, 2.0**-1024 * 1.5, 2.0**-1024, 1e-320, 5e-324]
+        ks = ScaleSchedule.from_epsilons(eps).ks
+        assert ks[:4].tobytes() == np.log2(1.0 / np.array(eps[:4])).tobytes()
+        assert ks[4:].tolist() == [1024.0, -np.log2(1e-320), 1074.0]
+        assert ks[5] == pytest.approx(1063.017, abs=1e-3)
+
     def test_positive_scales_only(self):
         with pytest.raises(InputError):
             ScaleSchedule.from_epsilons([0.5, 0.0])
