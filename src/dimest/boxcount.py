@@ -12,7 +12,8 @@ Two independent routes to the same dimension:
 For a set of dimension s in R^d the occupied count grows like eps**-s while
 the neighborhood volume shrinks like eps**(d-s), so the two estimators agree
 in the limit; keeping both implemented separately makes that agreement a
-checkable property rather than a tautology.
+checkable property rather than a tautology. Only the volume route needs
+scipy (its KD-tree), imported at the first tree build; counting runs on numpy.
 
 Occupancy is stored sparsely (occupied cells only) keyed by integer index
 vectors, which scales to millions of points; histograms list their cells in
@@ -51,7 +52,6 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import InputError
 from .estimation import volume_scaling_dimension
@@ -77,6 +77,10 @@ VOLUME_MAX_DIM = 3
 # Most fine cells one volume estimate may query: over 6x the 5.3e6 of a
 # 10**6-point Henon orbit at epsilon = 2**-12, and under a minute of queries.
 VOLUME_MAX_CELLS = 1 << 25
+
+# scipy's KD-tree class, bound by the first tree build in volume_estimate,
+# the only user of scipy, so that importing dimest does not load scipy.
+cKDTree = None
 
 # The volume KD-tree of each cloud: immutable and hashed by identity, a cloud
 # cannot outdate its tree, which is freed with it.
@@ -436,7 +440,11 @@ def occupancy_series(
     The histograms are kept with the counts and entropies while the cloud
     lives, so a second call with the same resolved anchor and schedule
     returns the same immutable histograms in a new list, and a
-    ``count_series`` or ``entropy_series`` after it reuses the pass.
+    ``count_series`` or ``entropy_series`` after it reuses the pass. They
+    hold d + 1 int64s per cell of every scale until the cloud is freed or a
+    pass with another anchor or schedule replaces them: at ``dyadic(0, 40)``,
+    2.9e6 cells or 69.8 MB for a 10**5-point Henon orbit and 634 MB for
+    10**6 points (``tracemalloc``).
     """
     resolved = resolve_anchor(cloud, anchor)
     return list(_occupancy(cloud, schedule, resolved, histograms=True)[2])
@@ -494,7 +502,8 @@ def volume_estimate(cloud: PointCloud, epsilon: float) -> VolumeEstimate:
     most (r_d + 3/4)h sqrt(d) = 2.75h, 3.89h or 3.04h from p, and the distance,
     off by 2**-50 at most, is under epsilon = 4h. Those cells are counted
     without a query; the rest go to one KD-tree per cloud, built on first use
-    and kept while the cloud lives.
+    and kept while the cloud lives. The process's first tree build imports
+    ``scipy.spatial``; an estimate refused before it loads no scipy.
     """
     if len(cloud) == 0:
         raise InputError("empty point set")
@@ -534,8 +543,11 @@ def volume_estimate(cloud: PointCloud, epsilon: float) -> VolumeEstimate:
         stride = math.prod(4 * len(vals) for vals in axes[a + 1 :])
         certain = _distinct(np.add.outer(certain, stride * np.arange(-radius, radius + 1)).ravel())
 
+    global cKDTree
     tree = _TREES.get(cloud)
     if tree is None:
+        if cKDTree is None:
+            from scipy.spatial import cKDTree
         tree = _TREES[cloud] = cKDTree(cloud.points)
     offsets = np.unravel_index(np.arange(4**d), (4,) * d)
     marked, rows = 0, (1 << 16) // 4**d  # 2**16 candidates a block: small temporaries

@@ -10,8 +10,8 @@ Four subcommands form reproducible pipelines over point-cloud CSV files:
 All state comes from flags (environment variables are never consulted) and
 every generator is seeded, so running the same command twice produces byte
 identical output. Files are written atomically (temp file + rename). Exit
-codes: 0 success, 1 input error, 2 numerical/degenerate-fit error; errors
-are single lines on stderr.
+codes: 0 success, 1 input error (or scipy missing for --volume), 2
+numerical/degenerate-fit error; errors are single lines on stderr.
 """
 
 from __future__ import annotations
@@ -275,7 +275,7 @@ def run(argv=None) -> int:
     except NumericalError as exc:
         print(f"dimest: error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except OSError as exc:
+    except (OSError, ImportError) as exc:  # ImportError: scipy missing for --volume
         print(f"dimest: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MemoryError as exc:

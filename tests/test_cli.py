@@ -323,15 +323,22 @@ def test_entropy_of_a_single_cell_prints_negative_zero(tmp_path, capsys):
     )
 
 
-def test_module_entry_point_runs():
-    src = str(Path(dimest.__file__).parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "dimest.cli", "--version"],
+def _python(*args):
+    """Run a fresh interpreter on this checkout of dimest, environment cleared.
+
+    ``-B``: the run writes no ``__pycache__`` into the source tree.
+    """
+    return subprocess.run(
+        [sys.executable, "-B", *args],
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": src},
+        env={"PYTHONPATH": str(Path(dimest.__file__).parents[1])},
         timeout=60,
     )
+
+
+def test_module_entry_point_runs():
+    proc = _python("-m", "dimest.cli", "--version")
     assert proc.returncode == 0
     assert proc.stdout == f"dimest {dimest.__version__}\n"
 
@@ -378,16 +385,83 @@ def test_orbit_overflow_is_one_line_exit_two(tmp_path):
     # y_1 = 1e303 * 1e5 overflows to inf; numpy's overflow warning must not reach stderr.
     out = tmp_path / "orbit.csv"
     flags = ["--b", "1e303", "--seed-x", "1e5", "--transient", "0", "--samples", "10"]
-    proc = subprocess.run(
-        [sys.executable, "-m", "dimest.cli", "generate", "henon", *flags, "--out", str(out)],
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": str(Path(dimest.__file__).parents[1])},
-        timeout=60,
-    )
+    proc = _python("-m", "dimest.cli", "generate", "henon", *flags, "--out", str(out))
     assert proc.returncode == 2
     assert proc.stderr == "dimest: error: orbit diverged at step 1\n"
     assert not out.exists()
+
+
+def test_scipy_is_loaded_only_by_the_volume_estimator(tmp_path):
+    # Records, after each step, whether scipy is loaded; the last step builds a KD-tree.
+    code = """
+import json, sys
+import numpy as np
+loaded = {}
+import dimest
+loaded["import dimest"] = "scipy" in sys.modules
+from dimest.cli import run
+loaded["import dimest.cli"] = "scipy" in sys.modules
+from dimest import InputError, PointCloud, volume_estimate
+lattice = np.stack(np.meshgrid(*[np.arange(30.0)] * 3), axis=-1).reshape(-1, 3)
+try:
+    volume_estimate(PointCloud(lattice), 0.25)
+except InputError:
+    loaded["refused volume_estimate"] = "scipy" in sys.modules
+cloud, out = sys.argv[1] + "/cloud.csv", sys.argv[1] + "/out"
+scales = ["--in", cloud, "--kmin", "2", "--kmax", "5"]
+for command, flags in (
+    ("generate", ["henon", "--samples", "2000", "--out", cloud]),
+    ("count", [*scales, "--out", out]),
+    ("entropy", [*scales, "--out", out]),
+    ("report", [*scales, "--json", out]),
+    ("report --volume", [*scales, "--json", out, "--volume"]),
+):
+    assert run([command.split()[0], *flags]) == 0
+    loaded[command] = "scipy" in sys.modules
+print(json.dumps(loaded))
+"""
+    proc = _python("-c", code, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "import dimest": False,
+        "import dimest.cli": False,
+        "refused volume_estimate": False,
+        "generate": False,
+        "count": False,
+        "entropy": False,
+        "report": False,
+        "report --volume": True,
+    }
+
+
+def test_import_adds_no_third_party_package_but_numpy():
+    # The modules a bare interpreter starts with are there before the import.
+    code = """
+import sys
+before = set(sys.modules)
+import dimest.cli
+added = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(sorted(added - set(sys.stdlib_module_names)))
+"""
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['dimest', 'numpy']\n"
+
+
+def test_missing_scipy_fails_only_volume_in_one_line(tmp_path):
+    src, usual = tmp_path / "cloud.csv", tmp_path / "report.json"
+    assert run(["generate", "sierpinski", "--samples", "2000", "--out", str(src)]) == 0
+    report = ["report", "--in", str(src), "--kmin", "2", "--kmax", "5"]
+    assert run(report + ["--json", str(usual)]) == 0
+    code = 'import sys; sys.modules["scipy.spatial"] = None; import dimest.cli; dimest.cli.main()'
+    proc = _python("-c", code, *report, "--volume")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("dimest: error: ") and proc.stderr.count("\n") == 1
+    assert "scipy.spatial" in proc.stderr
+    proc = _python("-c", code, *report)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == usual.read_text()
 
 
 def test_generate_is_byte_deterministic(tmp_path):
