@@ -71,11 +71,11 @@ __all__ = [
     "volume_dimension",
 ]
 
-# Each coarse cell near the cloud is 4**d fine cells to query.
+# Each coarse cell near the cloud is 4**d fine cells to examine.
 VOLUME_MAX_DIM = 3
 
-# Most fine cells one volume estimate may query: over 6x the 5.3e6 of a
-# 10**6-point Henon orbit at epsilon = 2**-12, and under a minute of queries.
+# Most fine cells one volume estimate may examine, not all of them queried:
+# over 6x the 5.3e6 of a 10**6-point Henon orbit at epsilon = 2**-12.
 VOLUME_MAX_CELLS = 1 << 25
 
 # scipy's KD-tree class, bound by the first tree build in volume_estimate,
@@ -238,12 +238,6 @@ def _run_starts(keys: np.ndarray) -> np.ndarray:
     starts[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=starts[1:])
     return np.flatnonzero(starts)
-
-
-def _distinct(keys: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of a 1-d int array, which is sorted in place."""
-    keys.sort()
-    return keys[_run_starts(keys)]
 
 
 def count_boxes(cloud: PointCloud, grid: GridSpec) -> tuple[int, OccupancyHistogram]:
@@ -485,25 +479,29 @@ def volume_estimate(cloud: PointCloud, epsilon: float) -> VolumeEstimate:
     by epsilon and marks every fine cell whose center lies within distance
     epsilon of some cloud point; the volume is (marked cells) * h**d. Only the
     fine cells of the coarse cells (side 4h = epsilon) that hold or neighbor a
-    point are queried, so the cost grows with the occupied cells, not with the
-    box; over ``VOLUME_MAX_CELLS`` of them raise InputError before any query.
+    point are examined, a bitmap row each, so the cost grows with the occupied
+    cells, not the box; over ``VOLUME_MAX_CELLS`` raise InputError before any query.
 
-    No other cell is marked: a fine cell m two coarse cells from a point p's
-    fine cell f on some axis has |m - f| >= 5, so its center lo + (m + 1/2)h
-    is at least 4.5h = epsilon + h/2 from p. With h a normal float and every
-    coordinate of the inflated box within 2**48 h of 0 (else InputError),
-    rounding moves the index by 1/8 cell and the center by h/8 at most (to
-    first order), and the distance by a relative 2**-50, leaving over h/4.
-    Candidates use the full grid's centers and tree: the same volume bit for bit.
-
-    Nor does a fine cell within Chebyshev distance r_d = 2, 2, 1 of f (d = 1,
+    No cell m at Chebyshev distance 5 or more from all occupied fine cells is
+    marked: |m - f| >= 5 on some axis for a point p's cell f, so the center
+    lo + (m + 1/2)h is at least 4.5h = epsilon + h/2 from p. With h a normal
+    float and every coordinate of the inflated box within 2**48 h of 0 (else
+    InputError), rounding moves the index by 1/8 cell and the center by h/8 at
+    most (to first order), and the distance by a relative 2**-50, leaving over
+    h/4. Nor does a cell within Chebyshev distance r_d = 2, 2, 1 of f (d = 1,
     2, 3) need a query: each coordinate of its center lies within (r_d + 1/2)h
     of p, plus h/8 of index and h/8 of center rounding, so the center is at
     most (r_d + 3/4)h sqrt(d) = 2.75h, 3.89h or 3.04h from p, and the distance,
-    off by 2**-50 at most, is under epsilon = 4h. Those cells are counted
-    without a query; the rest go to one KD-tree per cloud, built on first use
-    and kept while the cloud lives. The process's first tree build imports
-    ``scipy.spatial``; an estimate refused before it loads no scipy.
+    off by 2**-50 at most, is under epsilon = 4h. Those certain cells are
+    counted (f is 3 cells inside the grid, so they are too); of the rest, only
+    cells within distance 4 and inside the grid are queried.
+
+    The one KD-tree per cloud, built on first use, is unbalanced with loose
+    node boxes, the cheaper build. ``dist <= epsilon`` depends only on per-pair
+    distances, alike in any tree: the bound epsilon * (1 + 1e-12) keeps a pair
+    at exactly epsilon, and a node is pruned only if its lower bound, off by
+    rounding far under that slack, exceeds the bound or the best pair found. So
+    trees differ only if a best pair a rounding error past epsilon hides one within it.
     """
     if len(cloud) == 0:
         raise InputError("empty point set")
@@ -526,43 +524,55 @@ def volume_estimate(cloud: PointCloud, epsilon: float) -> VolumeEstimate:
         if len(near) * 4**d > VOLUME_MAX_CELLS:
             raise InputError(f"too many volume cells at epsilon {eps!r} (over {VOLUME_MAX_CELLS})")
 
-    # Key fine cells by their coarse cell's rank among near's values on each
-    # axis: lexicographic, and under the budget below 4**d * len(near)**d <= 2**63.
+    # Key near cells by their ranks among near's values on each axis, packed:
+    # lexicographic, as near is, and under the budget below len(near)**d <= 2**57.
     axes = [np.unique(col) for col in near.T]
 
-    def keys(fine):
-        key = np.zeros(len(fine[0]), dtype=np.int64)
-        for m, vals in zip(fine, axes):
-            key = key * (4 * len(vals)) + 4 * np.searchsorted(vals, m >> 2) + (m & 3)
-        return key
+    def pack(cells):
+        ranks = [np.searchsorted(vals, col) for col, vals in zip(cells.T, axes)]
+        return np.ravel_multi_index(ranks, [len(vals) for vals in axes], mode="clip")
 
-    # Near holds both coarse neighbors of each occupied cell, so within 4 fine
-    # cells of one a fine step is a step of one in that axis's key digit.
-    certain, radius = keys(occupied.T), {1: 2, 2: 2, 3: 1}[d]
-    for a in range(d):
-        stride = math.prod(4 * len(vals) for vals in axes[a + 1 :])
-        certain = _distinct(np.add.outer(certain, stride * np.arange(-radius, radius + 1)).ravel())
+    n, keys = len(near), pack(near)
+
+    def rows_of(cells):  # the rows of near holding cells, n where it has none
+        row = np.searchsorted(keys, pack(cells)).clip(max=n - 1)
+        return np.where((near[row] == cells).all(axis=1), row, n).astype(np.int32)
+
+    # Dilate the occupied cells by r_d (certain) and 4 (reach), a cell a step on
+    # each axis, via each cell's neighbor rows (the empty last row if none); numpy
+    # reads overlapping operands before writing. A uint32 is 4 cells on the last axis.
+    links = [[np.append(rows_of(near + s * e), n) for s in (-1, 1)] for e in np.eye(d, dtype=int)]
+    certain = np.zeros((n + 1,) + (4,) * d, dtype=bool)
+    certain[(rows_of(occupied >> 2), *(occupied & 3).T)] = True
+    cuts = [[(slice(None),) * a + (s,) for s in np.s_[:3, 1:, :1, 3:]] for a in range(1, d)]
+    reach, (below, above) = certain.copy(), links[-1]
+    for bits, radius in ((certain, {1: 2, 2: 2, 3: 1}[d]), (reach, 4)):
+        words = bits.view("<u4")[..., 0]
+        for _ in range(radius):
+            for (head, tail, first, last), (lower, upper) in zip(cuts, links):
+                low, high = words[last][lower], words[first][upper]
+                words[tail] |= words[head]
+                words[first] |= low
+                words[head] |= words[tail]
+                words[last] |= high
+            words |= words[below] >> 24 | words[above] << 24 | words << 8 | words >> 8
+    reach ^= certain  # certain lies in reach: the rest is queried
 
     global cKDTree
     tree = _TREES.get(cloud)
     if tree is None:
         if cKDTree is None:
             from scipy.spatial import cKDTree
-        tree = _TREES[cloud] = cKDTree(cloud.points)
-    offsets = np.unravel_index(np.arange(4**d), (4,) * d)
-    marked, rows = 0, (1 << 16) // 4**d  # 2**16 candidates a block: small temporaries
-    for start in range(0, len(near), rows):
-        # Coarse cells are disjoint, so their fine cells are distinct. Column
-        # by column: row broadcasts over (n, d) arrays are several times slower.
-        block = near[start : start + rows].T
-        fine = [(4 * col[:, None] + off).ravel() for col, off in zip(block, offsets)]
-        keep = np.logical_and.reduce([(m >= 0) & (m < n) for m, n in zip(fine, shape)])
-        fine = [m[keep] for m in fine]
-        key = keys(fine)
-        sure = certain[np.searchsorted(certain, key).clip(max=len(certain) - 1)] == key
-        centers = np.stack([low + (m[~sure] + 0.5) * h for low, m in zip(lo, fine)], axis=1)
+        tree = _TREES[cloud] = cKDTree(cloud.points, balanced_tree=False, compact_nodes=False)
+    marked, rows = int(np.count_nonzero(certain)), (1 << 16) // 4**d  # 2**16 fine cells a block
+    for start in range(0, n, rows):
+        # Column by column: row broadcasts over (n, d) arrays are several times slower.
+        row, *offsets = np.nonzero(reach[start : start + rows])
+        fine = [4 * col[row + start] + m for col, m in zip(near.T, offsets)]
+        keep = np.logical_and.reduce([(m >= 0) & (m < size) for m, size in zip(fine, shape)])
+        centers = np.stack([low + (m[keep] + 0.5) * h for low, m in zip(lo, fine)], axis=1)
         dist, _ = tree.query(centers, k=1, distance_upper_bound=eps * (1 + 1e-12))
-        marked += int(np.count_nonzero(sure)) + int(np.count_nonzero(dist <= eps))
+        marked += int(np.count_nonzero(dist <= eps))
     return VolumeEstimate(epsilon=eps, volume=marked * h**d, resolution=h, ambient_dim=d)
 
 

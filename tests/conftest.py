@@ -7,6 +7,12 @@ couple tests.
 
 from __future__ import annotations
 
+import sys
+
+# Before anything imports dimest: a test run leaves no __pycache__ in src/,
+# which would speed up the next benchmark of the same checkout.
+sys.dont_write_bytecode = True
+
 import numpy as np
 import pytest
 

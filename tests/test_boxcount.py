@@ -487,16 +487,26 @@ class TestSharedPass:
         assert retained < 2**20
 
 
-def _full_grid_volume(cloud: PointCloud, eps: float) -> float:
-    """Reference: query every fine cell of the inflated bounding box."""
+def _full_grid(cloud: PointCloud, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index rows and centers of every fine cell of the inflated bounding box."""
     box = bounding_box(cloud).inflated(eps)
     h = eps / 4.0
     shape = tuple(max(1, int(np.ceil(w / h))) for w in box.widths)
-    tree = cKDTree(cloud.points)
     multi = np.unravel_index(np.arange(math.prod(shape)), shape)
     centers = np.stack([box.min[i] + (multi[i] + 0.5) * h for i in range(cloud.dim)], axis=1)
+    return np.stack(multi, axis=1), centers
+
+
+def _marks(tree, centers: np.ndarray, eps: float) -> np.ndarray:
+    """Which centers lie within eps of a point, as the estimator queries them."""
     dist, _ = tree.query(centers, k=1, distance_upper_bound=eps * (1 + 1e-12))
-    return int(np.count_nonzero(dist <= eps)) * h**cloud.dim
+    return dist <= eps
+
+
+def _full_grid_volume(cloud: PointCloud, eps: float) -> float:
+    """Reference: query every fine cell of the inflated bounding box."""
+    marked = _marks(cKDTree(cloud.points), _full_grid(cloud, eps)[1], eps)
+    return int(np.count_nonzero(marked)) * (eps / 4.0) ** cloud.dim
 
 
 @st.composite
@@ -518,6 +528,23 @@ def volume_cases(draw):
     eps = max(eps, floor)
     offset = draw(st.sampled_from([0.0, -2.5, 1e6, 2.0**46 * eps * 0.999 - 4]))
     return PointCloud(pts + offset), eps
+
+
+@st.composite
+def lattice_volume_cases(draw):
+    """Clouds of up to 200 points, d = 1..3, on the 1/8 or the 1/64 lattice.
+
+    Many points sit on fine-cell and coarse-cell edges, so the dilations
+    cross from one coarse cell into the next on every axis.
+    """
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 200))
+    grid = draw(st.sampled_from([8, 64]))
+    pts = np.array(draw(st.lists(st.tuples(*[st.integers(0, grid)] * d), min_size=n, max_size=n)))
+    floor = {1: 0.004, 2: 0.03, 3: 0.12}[d]  # keeps the reference grid small
+    eps = draw(st.sampled_from([1 / 64, 1 / 32, 0.125, 0.25, 0.5]) | st.floats(floor, 1.0))
+    offset = draw(st.sampled_from([0.0, -2.5, 1e6]))
+    return PointCloud(pts / grid + offset), max(eps, floor)
 
 
 class TestVolumeEstimate:
@@ -632,6 +659,62 @@ class TestVolumeEstimate:
         cloud = PointCloud(np.zeros((1, 3)))
         est = volume_estimate(cloud, 0.5)
         assert est.volume == pytest.approx(4.0 / 3.0 * math.pi * 0.125, rel=0.15)
+
+
+def _spy_estimate(cloud: PointCloud, eps: float) -> tuple[list, list]:
+    """The KD-trees one volume estimate built and the centers it queried."""
+    built, queried = [], []
+
+    class SpyTree(cKDTree):
+        def __init__(self, data, *args, **kwargs):
+            super().__init__(data, *args, **kwargs)
+            built.append(self)
+
+        def query(self, x, *args, **kwargs):
+            queried.append(np.array(x))
+            return super().query(x, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dimest.boxcount, "cKDTree", SpyTree)
+        volume_estimate(cloud, eps)
+    return built, queried
+
+
+class TestVolumeQueries:
+    @given(lattice_volume_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_lattice_clouds_match_full_grid_bit_for_bit(self, case):
+        cloud, eps = case
+        assert volume_estimate(cloud, eps).volume == _full_grid_volume(cloud, eps)
+
+    @given(lattice_volume_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_queries_exactly_the_cells_beyond_certain_within_reach(self, case):
+        # Certain: within Chebyshev distance r_d of an occupied fine cell;
+        # reach: within 4. Only reach minus certain, inside the grid, is queried.
+        cloud, eps = case
+        _, queried = _spy_estimate(cloud, eps)
+        h, radius = eps / 4.0, {1: 2, 2: 2, 3: 1}[cloud.dim]
+        lo = bounding_box(cloud).inflated(eps).min
+        occupied = count_boxes(cloud, GridSpec(lo, h))[1].indices
+        chebyshev = cKDTree(occupied)
+        cells, _ = _full_grid(cloud, eps)
+        ring = chebyshev.query(cells, p=np.inf)[0]
+        ring = (ring > radius) & (ring <= 4)
+        asked = np.round((np.concatenate(queried) - lo) / h - 0.5).astype(np.int64)
+        distance = chebyshev.query(asked, p=np.inf)[0]
+        assert np.all((distance > radius) & (distance <= 4))
+        assert np.all((asked >= 0) & (asked <= cells.max(axis=0)))
+        assert len(np.unique(asked, axis=0)) == len(asked) == np.count_nonzero(ring)
+
+    @given(st.one_of(volume_cases(), lattice_volume_cases()))
+    @settings(max_examples=150, deadline=None)
+    def test_tree_marks_as_a_balanced_tree(self, case):
+        cloud, eps = case
+        (tree,), _ = _spy_estimate(cloud, eps)
+        centers = _full_grid(cloud, eps)[1]
+        balanced = cKDTree(cloud.points)
+        assert np.array_equal(_marks(tree, centers, eps), _marks(balanced, centers, eps))
 
 
 class TestVolumeDimension:

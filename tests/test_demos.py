@@ -23,8 +23,9 @@ def test_demo_exits_zero(demo, tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    # -B: the demo writes no __pycache__ into the source tree.
     proc = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-B", str(demo)],
         cwd=tmp_path,
         env=env,
         capture_output=True,
