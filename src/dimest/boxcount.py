@@ -8,6 +8,8 @@ Two independent routes to the same dimension:
   fine-grid cells whose centers lie within epsilon of a point; only cells
   next to occupied ones are examined, so the cost follows the occupied cells,
   up to ``VOLUME_MAX_CELLS`` (``volume_estimate`` / ``volume_dimension``).
+  Euclidean stencils around the occupied fine cells settle most of them; only
+  the ring the stencils leave undecided is queried on a KD-tree.
 
 For a set of dimension s in R^d the occupied count grows like eps**-s while
 the neighborhood volume shrinks like eps**(d-s), so the two estimators agree
@@ -472,6 +474,19 @@ def count_series(cloud: PointCloud, schedule: ScaleSchedule, anchor=None) -> Cou
     )
 
 
+def volume_stencils(d: int, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """S_in(mu) and S_out(mu) of :func:`volume_estimate` as ``(6,) * d`` bool arrays.
+
+    Entry ``[|delta_1|, ..., |delta_d|]`` is set when delta satisfies
+    ``sum((|delta_i| + 1/2 + mu)**2) < 16``, respectively
+    ``sum(max(0, |delta_i| - 1/2 - mu)**2) <= 16``.
+    """
+    t = np.arange(6.0)
+    inner = sum(np.ix_(*[(t + 0.5 + mu) ** 2] * d)) < 16
+    outer = sum(np.ix_(*[np.maximum(t - 0.5 - mu, 0) ** 2] * d)) <= 16
+    return inner, outer
+
+
 def volume_estimate(cloud: PointCloud, epsilon: float) -> VolumeEstimate:
     """Dilation estimate of Vol of the epsilon-neighborhood of the cloud.
 
@@ -482,19 +497,31 @@ def volume_estimate(cloud: PointCloud, epsilon: float) -> VolumeEstimate:
     point are examined, a bitmap row each, so the cost grows with the occupied
     cells, not the box; over ``VOLUME_MAX_CELLS`` raise InputError before any query.
 
-    No cell m at Chebyshev distance 5 or more from all occupied fine cells is
-    marked: |m - f| >= 5 on some axis for a point p's cell f, so the center
-    lo + (m + 1/2)h is at least 4.5h = epsilon + h/2 from p. With h a normal
-    float and every coordinate of the inflated box within 2**48 h of 0 (else
-    InputError), rounding moves the index by 1/8 cell and the center by h/8 at
-    most (to first order), and the distance by a relative 2**-50, leaving over
-    h/4. Nor does a cell within Chebyshev distance r_d = 2, 2, 1 of f (d = 1,
-    2, 3) need a query: each coordinate of its center lies within (r_d + 1/2)h
-    of p, plus h/8 of index and h/8 of center rounding, so the center is at
-    most (r_d + 3/4)h sqrt(d) = 2.75h, 3.89h or 3.04h from p, and the distance,
-    off by 2**-50 at most, is under epsilon = 4h. Those certain cells are
-    counted (f is 3 cells inside the grid, so they are too); of the rest, only
-    cells within distance 4 and inside the grid are queried.
+    A point of fine cell f is within (|delta_i| + 1/2) h of the center of
+    f + delta on each axis, and at least max(0, |delta_i| - 1/2) h from it.
+    Rounding widens both by mu cells an axis (which moves their norms by mu
+    or more): with h a normal float and the inflated box within R h of 0,
+    R <= 2**48 (else InputError), the index moves by R * 2**-51 cells, the
+    center by R * 2**-51 h and the distance by a relative 2**-50 (under
+    8 * 2**-50 h) at most, to first order, so mu = (R + 8) * 2**-50: 1/4 at
+    the guard, about 1e-12 for coordinates near 1 and h near 1e-3. Every cell
+    of S_in(mu) (:func:`volume_stencils`) around an occupied fine cell is then
+    marked and counted without a query, no cell outside S_out(mu) around all
+    of them is marked, and only the cells in between, inside the grid, are
+    queried. At mu = 0 no offset lies on a boundary (a sum of one to three odd
+    squares is never 64), so a small mu gives the exact-geometry stencils.
+    S_in lies within Chebyshev distance 3 for any mu, and f at least 3 cells
+    inside the grid, so sure cells are in it; for any mu the guard allows,
+    S_in holds the Chebyshev cube of radius 2, 2, 1 (d = 1, 2, 3) and S_out
+    lies within 4.
+
+    Each stencil is downward closed in every |delta_i|, so a union of boxes,
+    and a box dilation grows cells a step at a time along each axis. Horner's
+    rule over the first axis takes the union: grow the sum a step, add the
+    dilation by the section at the next offset down (in 3-D, built the same
+    way over the second axis); the innermost sections, nested intervals,
+    extend one chain. At most three bitmaps are live: the sure cells wait 8
+    to a byte while the reach is dilated.
 
     The one KD-tree per cloud, built on first use, is unbalanced with loose
     node boxes, the cheaper build. ``dist <= epsilon`` depends only on per-pair
@@ -513,7 +540,8 @@ def volume_estimate(cloud: PointCloud, epsilon: float) -> VolumeEstimate:
 
     box = bounding_box(cloud).inflated(eps)
     lo, h, d = box.min, eps / 4.0, cloud.dim
-    if not (h >= 2.0**-1022 and np.abs([lo, box.max]).max() <= 2.0**48 * h):
+    span = np.abs([lo, box.max]).max()
+    if not (h >= 2.0**-1022 and span <= 2.0**48 * h):
         raise InputError("epsilon too small for coordinate range")
     shape = [int(np.ceil(w / h)) for w in box.widths]
     occupied, _ = _unique_index_counts(box_indices(GridSpec(lo, h), cloud.points))
@@ -538,25 +566,67 @@ def volume_estimate(cloud: PointCloud, epsilon: float) -> VolumeEstimate:
         row = np.searchsorted(keys, pack(cells)).clip(max=n - 1)
         return np.where((near[row] == cells).all(axis=1), row, n).astype(np.int32)
 
-    # Dilate the occupied cells by r_d (certain) and 4 (reach), a cell a step on
-    # each axis, via each cell's neighbor rows (the empty last row if none); numpy
-    # reads overlapping operands before writing. A uint32 is 4 cells on the last axis.
+    # Bitmaps hold 4**d fine cells a near row, and an empty last row that stands
+    # for missing neighbors.
     links = [[np.append(rows_of(near + s * e), n) for s in (-1, 1)] for e in np.eye(d, dtype=int)]
-    certain = np.zeros((n + 1,) + (4,) * d, dtype=bool)
-    certain[(rows_of(occupied >> 2), *(occupied & 3).T)] = True
-    cuts = [[(slice(None),) * a + (s,) for s in np.s_[:3, 1:, :1, 3:]] for a in range(1, d)]
-    reach, (below, above) = certain.copy(), links[-1]
-    for bits, radius in ((certain, {1: 2, 2: 2, 3: 1}[d]), (reach, 4)):
-        words = bits.view("<u4")[..., 0]
-        for _ in range(radius):
-            for (head, tail, first, last), (lower, upper) in zip(cuts, links):
-                low, high = words[last][lower], words[first][upper]
-                words[tail] |= words[head]
-                words[first] |= low
-                words[head] |= words[tail]
-                words[last] |= high
-            words |= words[below] >> 24 | words[above] << 24 | words << 8 | words >> 8
-    reach ^= certain  # certain lies in reach: the rest is queried
+    seeds = np.ravel_multi_index((rows_of(occupied >> 2), *(occupied & 3).T), (n + 1,) + (4,) * d)
+    seeds = seeds.astype(np.int32)  # a bitmap holds under 2**31 cells
+    del occupied  # the seeds stand for it from here on
+
+    def seeded():
+        bits = np.zeros((n + 1,) + (4,) * d, dtype=bool)
+        bits.reshape(-1)[seeds] = True
+        return bits
+
+    def grow(bits, axis, times):
+        # A cell a step each way along the axis, times over: the end slabs of the
+        # neighbor rows are read first, then every row grows in place slab by
+        # slab, copying nothing else. A uint32 is 4 cells on the last axis.
+        words = bits.view("<u4")[..., 0] if axis < d - 1 else bits
+        slab = [words[(slice(None),) * (axis + 1) + (i,)] for i in range(4)]
+        below, above = links[axis]
+        for _ in range(times):
+            low, high = slab[3][below], slab[0][above]
+            for i in (3, 2, 1):
+                slab[i] |= slab[i - 1]
+            for i in (0, 1, 2):
+                slab[i] |= slab[i + 1]
+            slab[0] |= low
+            slab[3] |= high
+        return bits
+
+    def dilate(stencil):
+        # Cells at an offset in the stencil (over the last stencil.ndim axes)
+        # from an occupied fine cell, by Horner's rule over the first of them.
+        axis = d - stencil.ndim
+        if stencil.ndim == 1:
+            return grow(seeded(), axis, np.count_nonzero(stencil) - 1)
+        total = chain = None
+        last = np.zeros_like(stencil[0])
+        for a in reversed(range(len(stencil))):
+            if total is not None:
+                grow(total, axis, 1)
+            if np.array_equal(stencil[a], last):  # empty, or the last section again
+                continue
+            last = stencil[a]
+            if stencil.ndim > 2:
+                part = dilate(stencil[a])
+            else:  # the sections are nested intervals: extend one chain
+                if chain is None:
+                    chain, grown = seeded(), 0
+                part = grow(chain, axis + 1, np.count_nonzero(stencil[a]) - 1 - grown)
+                grown = np.count_nonzero(stencil[a]) - 1
+            if total is None:
+                total = part.copy() if part is chain else part
+            else:
+                total |= part
+        return total
+
+    inner, outer = volume_stencils(d, (span / h + 8) * 2.0**-50)
+    sure = dilate(inner)
+    marked = int(np.count_nonzero(sure))
+    sure = np.packbits(sure.reshape(n + 1, -1), axis=1)
+    reach = dilate(outer)
 
     global cKDTree
     tree = _TREES.get(cloud)
@@ -564,10 +634,13 @@ def volume_estimate(cloud: PointCloud, epsilon: float) -> VolumeEstimate:
         if cKDTree is None:
             from scipy.spatial import cKDTree
         tree = _TREES[cloud] = cKDTree(cloud.points, balanced_tree=False, compact_nodes=False)
-    marked, rows = int(np.count_nonzero(certain)), (1 << 16) // 4**d  # 2**16 fine cells a block
+    rows = (1 << 16) // 4**d  # 2**16 fine cells a block
     for start in range(0, n, rows):
+        ring = reach[start : start + rows]
+        certain = np.unpackbits(sure[start : start + rows], axis=1, count=4**d).view(bool)
+        ring &= ~certain.reshape(ring.shape)
         # Column by column: row broadcasts over (n, d) arrays are several times slower.
-        row, *offsets = np.nonzero(reach[start : start + rows])
+        row, *offsets = np.nonzero(ring)
         fine = [4 * col[row + start] + m for col, m in zip(near.T, offsets)]
         keep = np.logical_and.reduce([(m >= 0) & (m < size) for m, size in zip(fine, shape)])
         centers = np.stack([low + (m[keep] + 0.5) * h for low, m in zip(lo, fine)], axis=1)

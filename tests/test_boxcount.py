@@ -23,6 +23,7 @@ from dimest import (
     PointCloud,
     ScaleSchedule,
     bounding_box,
+    box_indices,
     build_report,
     count_boxes,
     count_series,
@@ -38,7 +39,7 @@ from dimest import (
     volume_dimension,
     volume_estimate,
 )
-from dimest.boxcount import VOLUME_MAX_CELLS, resolve_anchor
+from dimest.boxcount import VOLUME_MAX_CELLS, resolve_anchor, volume_stencils
 
 
 class TestCountBoxes:
@@ -661,6 +662,24 @@ class TestVolumeEstimate:
         assert est.volume == pytest.approx(4.0 / 3.0 * math.pi * 0.125, rel=0.15)
 
 
+def _offsets(d: int) -> np.ndarray:
+    """Every offset in [-5, 5]**d, one a row."""
+    return np.stack(np.meshgrid(*[np.arange(-5, 6)] * d, indexing="ij"), axis=-1).reshape(-1, d)
+
+
+def _exact_stencils(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets of S_in and S_out at mu = 0, in integers: (2|x| + 1)**2 and (2|x| - 1)**2 summed."""
+    offsets = _offsets(d)
+    inner = ((2 * np.abs(offsets) + 1) ** 2).sum(axis=1) < 64
+    outer = (np.maximum(2 * np.abs(offsets) - 1, 0) ** 2).sum(axis=1) <= 64
+    return offsets[inner], offsets[outer]
+
+
+def _dilated(cells: np.ndarray, offsets: np.ndarray) -> set:
+    """Every cell at one of the offsets from one of the cells."""
+    return {tuple(m) for m in (cells[:, None, :] + offsets).reshape(-1, cells.shape[1]).tolist()}
+
+
 def _spy_estimate(cloud: PointCloud, eps: float) -> tuple[list, list]:
     """The KD-trees one volume estimate built and the centers it queried."""
     built, queried = [], []
@@ -690,22 +709,33 @@ class TestVolumeQueries:
     @given(lattice_volume_cases())
     @settings(max_examples=100, deadline=None)
     def test_queries_exactly_the_cells_beyond_certain_within_reach(self, case):
-        # Certain: within Chebyshev distance r_d of an occupied fine cell;
-        # reach: within 4. Only reach minus certain, inside the grid, is queried.
+        # Certain: at an offset in S_in from an occupied fine cell; reach: at
+        # one in S_out. Only reach minus certain, inside the grid, is queried.
+        cloud, eps = case
+        _, queried = _spy_estimate(cloud, eps)
+        h = eps / 4.0
+        lo = bounding_box(cloud).inflated(eps).min
+        occupied = count_boxes(cloud, GridSpec(lo, h))[1].indices
+        shape = _full_grid(cloud, eps)[0].max(axis=0) + 1
+        certain, reach = (_dilated(occupied, offsets) for offsets in _exact_stencils(cloud.dim))
+        ring = {m for m in reach - certain if all(0 <= i < size for i, size in zip(m, shape))}
+        asked = np.round((np.concatenate(queried) - lo) / h - 0.5).astype(np.int64)
+        assert len(asked) == len(ring)
+        assert {tuple(m) for m in asked.tolist()} == ring
+
+    @given(st.one_of(volume_cases(), lattice_volume_cases()))
+    @settings(max_examples=150, deadline=None)
+    def test_queries_lie_in_the_chebyshev_ring(self, case):
+        # No cell within Chebyshev distance r_d = 2, 2, 1 (d = 1, 2, 3) of an
+        # occupied fine cell, nor beyond 4, is queried.
         cloud, eps = case
         _, queried = _spy_estimate(cloud, eps)
         h, radius = eps / 4.0, {1: 2, 2: 2, 3: 1}[cloud.dim]
         lo = bounding_box(cloud).inflated(eps).min
         occupied = count_boxes(cloud, GridSpec(lo, h))[1].indices
-        chebyshev = cKDTree(occupied)
-        cells, _ = _full_grid(cloud, eps)
-        ring = chebyshev.query(cells, p=np.inf)[0]
-        ring = (ring > radius) & (ring <= 4)
         asked = np.round((np.concatenate(queried) - lo) / h - 0.5).astype(np.int64)
-        distance = chebyshev.query(asked, p=np.inf)[0]
+        distance = cKDTree(occupied).query(asked, p=np.inf)[0]
         assert np.all((distance > radius) & (distance <= 4))
-        assert np.all((asked >= 0) & (asked <= cells.max(axis=0)))
-        assert len(np.unique(asked, axis=0)) == len(asked) == np.count_nonzero(ring)
 
     @given(st.one_of(volume_cases(), lattice_volume_cases()))
     @settings(max_examples=150, deadline=None)
@@ -715,6 +745,56 @@ class TestVolumeQueries:
         centers = _full_grid(cloud, eps)[1]
         balanced = cKDTree(cloud.points)
         assert np.array_equal(_marks(tree, centers, eps), _marks(balanced, centers, eps))
+
+
+# The largest rounding margin volume_estimate allows: coordinates at 2**48 h.
+GUARD_MU = (2.0**48 + 8) * 2.0**-50
+
+
+class TestVolumeStencils:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("start", [1.0, 2.0**48 - 64], ids=["origin", "guard"])
+    def test_sure_cells_marked_and_cells_past_reach_not(self, d, start):
+        # Points on and next to fine-cell edges, where rounding moves an index
+        # most, and inside cells; fine cells indexed and centered as the
+        # estimator does, every offset in [-5, 5]**d checked with a KD-tree.
+        eps = 0.01
+        h = eps / 4
+        rng = np.random.default_rng(d)
+        units = np.concatenate([np.arange(9) / 8, rng.random(40)])
+        pts = (start + 10 + rng.choice(units, size=(100, d))) * h
+        pts = np.concatenate([pts, np.nextafter(pts, np.inf), np.nextafter(pts, -np.inf)])
+        cloud = PointCloud(pts)
+        box = bounding_box(cloud).inflated(eps)
+        assert np.abs([box.min, box.max]).max() <= 2.0**48 * h
+        mu = (np.abs([box.min, box.max]).max() / h + 8) * 2.0**-50
+        if start == 1.0:  # no offset lies on a boundary: a tiny mu is mu = 0
+            assert all(map(np.array_equal, volume_stencils(d, mu), volume_stencils(d, 0.0)))
+            mu = 0.0
+        sure, reach = volume_stencils(d, mu)
+        offsets = _offsets(d)
+        in_sure, in_reach = sure[tuple(np.abs(offsets).T)], reach[tuple(np.abs(offsets).T)]
+        for p, cell in zip(pts, box_indices(GridSpec(box.min, h), pts)):
+            m = cell + offsets
+            centers = np.stack([low + (col + 0.5) * h for low, col in zip(box.min, m.T)], axis=1)
+            dist, _ = cKDTree(p[None]).query(centers, distance_upper_bound=eps * (1 + 1e-12))
+            assert np.all(dist[in_sure] <= eps)
+            assert np.all(dist[~in_reach] > eps)
+        assert volume_estimate(cloud, eps).volume == _full_grid_volume(cloud, eps)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("mu", [0.0, 0.25, GUARD_MU])
+    def test_containment(self, d, mu):
+        sure, reach = volume_stencils(d, mu)
+        if mu == 0.0:  # the exact geometry, offsets in lexicographic order
+            for stencil, exact in zip((sure, reach), _exact_stencils(d)):
+                assert np.array_equal(np.argwhere(stencil), exact[(exact >= 0).all(axis=1)])
+        for stencil in (sure, reach):  # downward closed on every axis
+            assert all(np.all(np.diff(stencil.astype(int), axis=i) <= 0) for i in range(d))
+        radius = {1: 2, 2: 2, 3: 1}[d]
+        assert sure[(slice(radius + 1),) * d].all()  # the Chebyshev cube of radius r_d
+        assert np.argwhere(sure).max() <= 3  # S_in within Chebyshev distance 3
+        assert np.argwhere(reach).max() <= 4  # S_out within 4
 
 
 class TestVolumeDimension:
