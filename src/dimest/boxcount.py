@@ -25,26 +25,25 @@ On a dyadic schedule, with every scale exactly ``2.0**-k`` for an integer
 k >= 0, the points are indexed only at the finest scale k_max: dividing by
 ``2**-k`` is then an exact multiplication, so
 ``floor(y * 2**k) == floor(y * 2**k_max) >> (k_max - k)`` (the arithmetic
-shift floors negative indices too). Each axis is offset by a multiple of
-``2**(k_max - k_min)`` (of ``2**62`` past that; every index has
-``|i| < 2**62``, so any larger shift floors alike), which makes the indices
+shift floors negative indices too; every index has ``|i| < 2**62``, so any
+shift past 62 floors alike). Histograms take each coarser scale's
+lexicographic rows and counts from the finer one's, shifted and merged
+(``_unique_index_counts``). Counts alone offset each axis by a multiple of
+``2**(k_max - k_min)`` (of ``2**62`` past that), which makes the indices
 non-negative and keeps ``(i - o) >> s == (i >> s) - (o >> s)`` at every
-scale. Their bits are interleaved axis by axis into one Z-order (Morton) key,
-sorted once and run-length encoded. A cell at scale k is then the key shifted
-right by ``d * (k_max - k)``: the shift of a sorted array is still sorted, so
-each coarser scale merges runs of the finer one's cells (``np.add.reduceat``)
-without another sort. Keys have 63 bits, ``63 // d`` per axis; scales whose
-offset indices need more bits than that (the finest scales of very wide
-spans) are counted one by one from the shifted finest indices, as every
-scale of any other schedule is. Other schedules, negative k among them (where
-``y / 2**-k`` can round a tiny negative ``y`` to -0.0), index every scale.
+scale, and interleave their bits into one Z-order (Morton) key, sorted once
+and run-length encoded. A cell at scale k is the key shifted right by
+``d * (k_max - k)``, still sorted, so each coarser scale merges runs of the
+finer one's cells (``np.add.reduceat``) without another sort. A key holds
+``63 // d`` bits an axis; the finer scales of wider spans are merged as
+histograms are. Other schedules, negative k among them (where ``y / 2**-k``
+can round a tiny negative ``y`` to -0.0), index every scale.
 
 Each scale's count n(eps) and entropy S(eps) (``occupancy_entropy``) are
 taken as the pass reaches it, and each cloud keeps only these scalars of its
 last pass, so ``count_series`` then ``entropy_series`` index the points once.
 Histograms are built, and kept with the scalars, only when
-``occupancy_series`` asks for them: each Z-order scale's keys are then
-de-interleaved and its cells put in lexicographic order.
+``occupancy_series`` asks for them.
 """
 
 from __future__ import annotations
@@ -214,7 +213,8 @@ def _unique_index_counts(idx: np.ndarray, weights=None) -> tuple[np.ndarray, np.
             counts = np.diff(np.append(starts, len(order)))
         else:
             counts = np.add.reduceat(weights[order], starts)
-        return np.stack([col[starts] for col in cols], axis=1), counts
+        cols = [col[starts] for col in cols]  # frees the sorted columns
+        return np.stack(cols, axis=1), counts
     keys = cols[0] - lo[0]  # C-order mixed-radix packing, as np.ravel_multi_index
     for col, low, size in zip(cols[1:], lo[1:], dims[1:]):
         keys = keys * size + (col - low)
@@ -230,7 +230,9 @@ def _unique_index_counts(idx: np.ndarray, weights=None) -> tuple[np.ndarray, np.
         keys = keys[order]
         starts = _run_starts(keys)
         ukeys, counts = keys[starts], np.add.reduceat(weights[order], starts)
-    rows = np.stack(np.unravel_index(ukeys, dims), axis=1).astype(np.int64) + lo
+        del keys, order, starts  # freed before the rows are built
+    rows = np.stack(np.unravel_index(ukeys, dims), axis=1, dtype=np.int64)
+    rows += lo
     return rows, counts
 
 
@@ -283,30 +285,19 @@ def occupancy_entropy(counts, total: int) -> float:
     return -(sum(m * n * (den // d) for m, (n, d) in zip(mult.tolist(), ratios)) / den)
 
 
-def _interleave_steps(d: int, bits: int) -> list[tuple[int, int, int]]:
-    """(shift, mask of groups of c, mask of groups of 2c) for c = 1, 2, 4, ... < bits.
-
-    In "groups of g", bit j of a ``bits``-bit value sits at bit
-    ``(j // g) * g * d + j % g``: g >= bits is the value itself and g = 1 its
-    bits ``d`` apart, their places in a d-axis Z-order key. Shifting the
-    upper half of every 2c-bit group up by ``c * (d - 1)`` (or back down)
-    turns groups of 2c into groups of c (or back); the mask clears the copies
-    the shift leaves behind.
-    """
-
-    def mask(g: int) -> int:
-        return sum(1 << (j // g * g * d + j % g) for j in range(bits))
-
-    sizes = [1 << e for e in range(max(bits - 1, 0).bit_length())]
-    return [(c * (d - 1), mask(c), mask(2 * c)) for c in sizes]
-
-
 def _spread_table(d: int, bits: int) -> np.ndarray:
-    """Every ``bits``-bit value with bit j moved to bit d*j, as uint64."""
+    """Every ``bits``-bit value with bit j moved to bit d*j, as uint64.
+
+    In "groups of g", bit j of a value sits at bit ``(j // g) * g * d + j % g``:
+    g >= bits is the value itself and g = 1 its bits ``d`` apart, their places
+    in a d-axis Z-order key. Shifting the upper half of every 2c-bit group up
+    by ``c * (d - 1)`` turns groups of 2c into groups of c, for c = ..., 4, 2,
+    1 below ``bits``; the mask clears the copies the shift leaves behind.
+    """
     x = np.arange(1 << bits, dtype=np.uint64)
-    for shift, groups, _ in reversed(_interleave_steps(d, bits)):
-        x |= x << shift
-        x &= groups
+    for c in reversed([1 << e for e in range(max(bits - 1, 0).bit_length())]):
+        x |= x << (c * (d - 1))
+        x &= sum(1 << (j // c * c * d + j % c) for j in range(bits))
     return x
 
 
@@ -330,44 +321,35 @@ def _interleave(cols: list, bits: int) -> np.ndarray:
     return keys
 
 
-def _deinterleave(keys: np.ndarray, d: int, bits: int) -> list:
-    """The int64 columns of ``bits`` bits each that :func:`_interleave` made ``keys`` of."""
-    steps = _interleave_steps(d, bits)
-    cols = []
-    for axis in range(d):
-        x = keys >> (d - 1 - axis)
-        x &= steps[0][1] if steps else (1 << bits) - 1
-        for shift, _, groups in steps:
-            x |= x >> shift
-            x &= groups
-        cols.append(x.view(np.int64))
-    return cols
-
-
-def _zorder_scales(cloud: PointCloud, resolved: np.ndarray, schedule: ScaleSchedule, rows: bool):
+def _dyadic_scales(cloud: PointCloud, resolved: np.ndarray, schedule: ScaleSchedule, rows: bool):
     """(scale number, cell counts, index rows or None) of a dyadic schedule, finest first.
 
-    Rows, when asked for, are in lexicographic order with their counts;
-    otherwise the counts come in Z-order. See the module docstring.
+    Merged scales give their rows, in lexicographic order, when asked for;
+    Z-order scales, used only when no rows are, give counts in Z-order. See
+    the module docstring.
     """
     ks = schedule.ks
     idx = box_indices(GridSpec(resolved, schedule.epsilons[-1]), cloud.points)
     shifts = [min(int(ks[-1] - k), 62) for k in ks]
     offsets = [int(col.min()) >> shifts[0] << shifts[0] for col in idx.T]
-    cols = [col - offset for col, offset in zip(idx.T, offsets)]
-    del idx
-    d, width = len(cols), max(int(col.max()).bit_length() for col in cols)
-    least = width - 63 // d  # the least shift whose cells fit in a 63-bit key
-    keys = None
+    d = len(offsets)
+    width = max((int(col.max()) - o).bit_length() for col, o in zip(idx.T, offsets))
+    least = 63 if rows else width - 63 // d  # merged below: rows, or cells too wide for a key
+    cells = counts = keys = None
     for i in range(len(ks) - 1, -1, -1):
         shift = shifts[i]
         if shift < least:
-            cells, counts = _unique_index_counts(np.stack([col >> shift for col in cols], axis=1))
-            yield i, counts, cells + [o >> shift for o in offsets] if rows else None
+            cells, counts = _unique_index_counts(
+                idx if cells is None else cells >> (shift - shifts[i + 1]), counts
+            )
+            yield i, counts, cells if rows else None
             continue
         level = min(shift, width)
-        if keys is None:
-            keys = _interleave([col >> level if level else col for col in cols], width - level)
+        if keys is None:  # free the merged rows and the indices before interleaving
+            cells = None
+            cols = [(col - o) >> level for col, o in zip(idx.T, offsets)]
+            idx = None
+            keys = _interleave(cols, width - level)
             cols = None
             keys.sort()
             starts = _run_starts(keys)
@@ -377,12 +359,7 @@ def _zorder_scales(cloud: PointCloud, resolved: np.ndarray, schedule: ScaleSched
             starts = _run_starts(keys)
             keys, counts = keys[starts], np.add.reduceat(counts, starts)
         finer = level
-        if rows:
-            cells = np.stack(_deinterleave(keys, d, width - level), axis=1)
-            cells, lex_counts = _unique_index_counts(cells + [o >> shift for o in offsets], counts)
-            yield i, lex_counts, cells
-        else:
-            yield i, counts, None
+        yield i, counts, None
 
 
 def _each_scale(cloud: PointCloud, resolved: np.ndarray, epsilons: np.ndarray):
@@ -408,7 +385,7 @@ def _occupancy(cloud: PointCloud, schedule: ScaleSchedule, resolved: np.ndarray,
         raise InputError("empty point set")
     ks, epsilons = schedule.ks, schedule.epsilons
     if np.all(ks == np.floor(ks)) and np.all(ks >= 0) and np.array_equal(epsilons, 2.0**-ks):
-        scales = _zorder_scales(cloud, resolved, schedule, histograms)
+        scales = _dyadic_scales(cloud, resolved, schedule, histograms)
     else:
         scales = _each_scale(cloud, resolved, epsilons)
     n = len(schedule)
@@ -428,8 +405,8 @@ def occupancy_series(
 ) -> list[OccupancyHistogram]:
     """Occupancy histograms at every scheduled scale with a shared anchor.
 
-    Dyadic schedules index the points once and derive every scale from one
-    sorted Z-order key array; other schedules count each scale from the
+    Dyadic schedules index the points once and merge each coarser scale's
+    rows from the finer one's; other schedules count each scale from the
     points in turn (see the module docstring). Both give the histograms of
     :func:`count_boxes` bit for bit.
 

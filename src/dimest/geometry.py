@@ -210,6 +210,8 @@ class ScaleSchedule:
             raise InputError("dyadic exponents must be integers")
         if k_min > k_max:
             raise InputError(f"k_min={k_min} exceeds k_max={k_max}")
+        if k_min < -1023 or k_max > 1074:  # 2.0**-k overflows to inf or rounds to 0
+            raise InputError("scales must be finite and positive")
         ks = np.arange(int(k_min), int(k_max) + 1, dtype=float)
         with np.errstate(over="ignore"):  # an infinite scale fails the check in cls
             return cls(epsilons=2.0**-ks, ks=ks)

@@ -377,12 +377,26 @@ class TestScalarPass:
         assert counts.counts.tolist() == entropies.occupied.tolist() == occupied
         assert entropies.entropy_bits.tobytes() == bits.tobytes()
 
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_spans_too_wide_to_interleave(self, d):
-        # About 2**41 cells an axis at k = 40: the finest scales are counted
-        # one by one, the coarser ones from Z-order keys, all as per scale.
+    @pytest.mark.parametrize(
+        "d, bits",
+        [(2, None), (3, None), (2, 31), (2, 32), (3, 21), (3, 22)],
+        ids=["2", "3", "2-31", "2-32", "3-21", "3-22"],
+    )
+    def test_spans_too_wide_to_interleave(self, d, bits):
+        # A Z-order key holds 63 // d bits an axis. Histograms, and the scales
+        # whose offset cells need more, are merged from the finer scale's
+        # rows; the coarser counts come from Z-order keys; all as per scale.
+        # The cubed cloud spans about 2**41 cells an axis at k = 40; the
+        # others exactly ``bits`` bits from 0, so at 63 // d the keys are
+        # full from k = 40 and at 63 // d + 1 only k = 40 is merged.
         rng = np.random.default_rng(d)
-        cloud = PointCloud(rng.uniform(-1.0, 1.0, size=(3000, d)) ** 3)
+        if bits is None:
+            points = rng.uniform(-1.0, 1.0, size=(3000, d)) ** 3
+        else:
+            points = rng.uniform(0.0, 1.0, size=(3000, d)) ** 3
+            points[:2] = [[0.0], [0.75]]
+            points *= 2.0 ** (bits - 40)
+        cloud = PointCloud(points)
         schedule = ScaleSchedule.dyadic(0, 40)
         for anchor in (None, np.zeros(d)):
             expected = per_scale(cloud, schedule, anchor)

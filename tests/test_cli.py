@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import subprocess
@@ -291,10 +292,13 @@ def test_report_overflowing_margin_is_one_line_exit_one(tmp_path, capsys):
     [
         (["--kmin", "-1100", "--kmax", "2"], "scales must be finite and positive"),
         (["--epsilons", "1e-320"], "box index overflow: epsilon too small for coordinate range"),
+        (["--kmin", "0", "--kmax", "1000000000000"], "scales must be finite and positive"),
+        (["--kmin", "-1000000000000", "--kmax", "0"], "scales must be finite and positive"),
     ],
 )
 def test_count_overflowing_scale_is_one_line_exit_one(tmp_path, capsys, flags, message):
-    # numpy overflows to inf here; its RuntimeWarning must not reach stderr.
+    # numpy overflows to inf here, or the k range (at |k| = 10**12, 8 TB of
+    # scales) is refused before it is listed; no RuntimeWarning reaches stderr.
     src = tmp_path / "seg.csv"
     run(["generate", "segment", "--samples", "100", "--out", str(src)])
     capsys.readouterr()
@@ -302,6 +306,23 @@ def test_count_overflowing_scale_is_one_line_exit_one(tmp_path, capsys, flags, m
     captured = capsys.readouterr()
     assert captured.err == f"dimest: error: {message}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "anchor, digest",
+    [
+        ("min", "51b35ff6954259c716a794fb4a8e9189843fbba57333bec1754d4b24d7480e49"),
+        ("origin", "8adba0d7343ef9672904d840250eee0e4f53a6d19e691c177c37ab391e9f05f0"),
+    ],
+)
+def test_histogram_bytes_are_pinned(tmp_path, anchor, digest):
+    # k = 0..40 on the Henon orbit: histograms merged from the finest scale's
+    # rows, whose spans (about 2**41 cells an axis) are too wide for a Z-order key.
+    src, dst = tmp_path / "h.csv", tmp_path / "hist.json"
+    assert run(["generate", "henon", "--samples", "2000", "--out", str(src)]) == 0
+    flags = ["--kmin", "0", "--kmax", "40", "--anchor", anchor, "--histogram", str(dst)]
+    assert run(["count", "--in", str(src), *flags]) == 0
+    assert hashlib.sha256(dst.read_bytes()).hexdigest() == digest
 
 
 def test_subnormal_epsilon_prints_a_finite_label(tmp_path, capsys):

@@ -218,6 +218,18 @@ class TestScaleSchedule:
             ScaleSchedule.dyadic(-1100, 2)
         assert ScaleSchedule.from_epsilons([1e-320]).epsilons[0] == 1e-320
 
+    @pytest.mark.parametrize("k_min, k_max", [(0, 10**12), (-(10**12), 0), (0, 1075), (-1024, 0)])
+    def test_impossible_dyadic_ranges_fail_fast(self, k_min, k_max):
+        # Raised before the k range is allocated: 10**12 scales would take 8 TB.
+        with pytest.raises(InputError, match="^scales must be finite and positive$"):
+            ScaleSchedule.dyadic(k_min, k_max)
+
+    def test_dyadic_extremes_construct(self):
+        # 2**-1074 is the least subnormal double and 2**1023 the greatest power of 2 below inf.
+        assert ScaleSchedule.dyadic(1074, 1074).epsilons.tolist() == [5e-324]
+        assert ScaleSchedule.dyadic(-1023, -1023).epsilons.tolist() == [2.0**1023]
+        assert len(ScaleSchedule.dyadic(-1023, 1074)) == 2098
+
     def test_subnormal_epsilon_gets_a_finite_label(self):
         # 1/eps overflows from 2**-1024 down; the label is -log2(eps) there
         # and log2(1/eps), bit for bit, everywhere else.
