@@ -46,7 +46,6 @@ from .generators import (
     cantor_points,
     henon_orbit,
     ifs_chaos_game,
-    ifs_fixed_points,
     sierpinski_spec,
     uniform_segment,
     uniform_square,
@@ -99,7 +98,6 @@ __all__ = [
     "entropy_series",
     "henon_orbit",
     "ifs_chaos_game",
-    "ifs_fixed_points",
     "information_dimension",
     "load_points_csv",
     "loglog_fit",

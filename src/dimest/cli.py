@@ -200,10 +200,8 @@ def _cmd_count(args) -> int:
     if hists is not None:
         scales = []
         for k, hist in zip(schedule.ks, hists):
-            cells = {
-                ",".join(str(i) for i in row): int(c)
-                for row, c in zip(hist.indices, hist.counts)
-            }
+            rows, counts = hist.indices.tolist(), hist.counts.tolist()
+            cells = {",".join(map(str, row)): c for row, c in zip(rows, counts)}
             scales.append(
                 {
                     "k": float(k),

@@ -31,7 +31,6 @@ __all__ = [
     "henon_orbit",
     "cantor_points",
     "ifs_chaos_game",
-    "ifs_fixed_points",
     "sierpinski_spec",
     "uniform_segment",
     "uniform_square",
@@ -192,12 +191,6 @@ class IfsSpec:
     @property
     def dim(self) -> int:
         return self.maps[0][0].shape[0]
-
-
-def ifs_fixed_points(spec: IfsSpec) -> np.ndarray:
-    """Fixed point of each map, as an ``(m, d)`` array."""
-    eye = np.eye(spec.dim)
-    return np.stack([np.linalg.solve(eye - mat, off) for mat, off in spec.maps])
 
 
 def ifs_chaos_game(spec: IfsSpec) -> PointCloud:

@@ -98,11 +98,6 @@ class BoundingBox:
     def widths(self) -> np.ndarray:
         return self.max - self.min
 
-    def contains(self, points: np.ndarray) -> bool:
-        """True when every row of ``points`` lies inside the box."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return bool(np.all(pts >= self.min) and np.all(pts <= self.max))
-
     def inflated(self, margin: float) -> "BoundingBox":
         """The box grown by ``margin`` on every face."""
         if margin < 0:
@@ -206,7 +201,11 @@ class ScaleSchedule:
     @classmethod
     def dyadic(cls, k_min: int, k_max: int) -> "ScaleSchedule":
         """Scales ``2**-k`` for k = k_min..k_max (inclusive)."""
-        if int(k_min) != k_min or int(k_max) != k_max:
+        try:
+            whole = int(k_min) == k_min and int(k_max) == k_max
+        except (OverflowError, ValueError):  # int() of an infinite or nan k
+            whole = False
+        if not whole:
             raise InputError("dyadic exponents must be integers")
         if k_min > k_max:
             raise InputError(f"k_min={k_min} exceeds k_max={k_max}")

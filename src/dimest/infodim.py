@@ -11,12 +11,12 @@ log2 n(eps) with equality exactly at uniform occupancy, which is why the
 information dimension can never exceed the box-counting dimension.
 
 Terms with p_i = 0 are dropped at construction (0*log 0 := 0): only occupied
-cells enter. Occupancy entropies (``histogram_entropy``, ``entropy_series``)
-are summed by count class (``boxcount.occupancy_entropy``): cells with equal
-counts give bit-equal terms, so S is the exact sum of multiplicity times term
-over the distinct counts, accumulated in integers and rounded once. That is
-the same double as the correctly rounded ``math.fsum`` over every cell, so
-the result does not depend on cell order or on how the cells were found.
+cells enter. Occupancy entropies (``entropy_series``) are summed by count
+class (``boxcount.occupancy_entropy``): cells with equal counts give bit-equal
+terms, so S is the exact sum of multiplicity times term over the distinct
+counts, accumulated in integers and rounded once. That is the same double as
+the correctly rounded ``math.fsum`` over every cell, so the result does not
+depend on cell order or on how the cells were found.
 ``entropy_series`` takes its entropies from ``occupancy_scalars``, so it
 shares one occupancy pass with a ``count_series`` on the same cloud, schedule
 and anchor.
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxcount import OccupancyHistogram, occupancy_entropy, occupancy_scalars, resolve_anchor
+from .boxcount import OccupancyHistogram, occupancy_scalars, resolve_anchor
 from .errors import InputError
 from .estimation import entropy_fit
 from .geometry import PointCloud, ScaleSchedule
@@ -39,7 +39,6 @@ __all__ = [
     "EntropySeries",
     "probabilities",
     "shannon_entropy",
-    "histogram_entropy",
     "entropy_series",
     "information_dimension",
 ]
@@ -119,24 +118,11 @@ def shannon_entropy(p: ProbabilityVector) -> float:
 
     Zero for a point mass; at most log2(p.probs.size) with equality at the
     uniform vector. Compensated summation keeps those bounds sharp.
-    Histograms take the count-class sum of :func:`histogram_entropy` instead.
+    Cell counts take the count-class sum of
+    :func:`~dimest.boxcount.occupancy_entropy` instead.
     """
     probs = p.probs
     return -math.fsum(probs * np.log2(probs))
-
-
-def histogram_entropy(hist: OccupancyHistogram) -> float:
-    """``shannon_entropy(probabilities(hist))`` summed by count class.
-
-    This is :func:`~dimest.boxcount.occupancy_entropy` of the histogram's
-    counts: the same double as ``math.fsum`` over the cells.
-
-    The probabilities need no sum check: ``OccupancyHistogram`` holds counts
-    summing to ``total`` exactly, and each ``p_j`` is off by a relative
-    3 * 2**-53 at most (count and total to float, then the division), so the
-    exact class sum is within 3 * 2**-53 of 1.
-    """
-    return occupancy_entropy(hist.counts, hist.total)
 
 
 def entropy_series(cloud: PointCloud, schedule: ScaleSchedule, anchor=None) -> EntropySeries:

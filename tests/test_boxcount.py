@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.spatial
 from scipy.spatial import cKDTree
 
 import dimest.boxcount
@@ -97,12 +98,15 @@ class TestUniqueIndexCounts:
         return hist.indices, hist.counts
 
     def test_matches_numpy_unique_rows(self):
+        # 100**3 cells are tallied densely; 400**3, over 2**20, are sorted as keys.
         rng = np.random.default_rng(9)
-        idx = rng.integers(-50, 50, size=(2000, 3)).astype(np.int64)
-        rows, counts = self.unit_grid_histogram(idx)
-        expect_rows, expect_counts = np.unique(idx, axis=0, return_counts=True)
-        assert np.array_equal(rows, expect_rows)
-        assert np.array_equal(counts, expect_counts)
+        for half in (50, 200):
+            idx = rng.integers(-half, half, size=(2000, 3)).astype(np.int64)
+            idx = np.concatenate([idx, idx[::3]])
+            rows, counts = self.unit_grid_histogram(idx)
+            expect_rows, expect_counts = np.unique(idx, axis=0, return_counts=True)
+            assert np.array_equal(rows, expect_rows)
+            assert np.array_equal(counts, expect_counts)
 
     def test_wide_span_fallback(self):
         # Spans whose product exceeds the packing capacity use the row path.
@@ -591,7 +595,7 @@ class TestVolumeEstimate:
                 super().__init__(data, *args, **kwargs)
                 built.append(weakref.ref(self))
 
-        monkeypatch.setattr(dimest.boxcount, "cKDTree", CountingTree)
+        monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
         cloud = ifs_chaos_game(sierpinski_spec(2000, rng_seed=4))
         volume_dimension(cloud, ScaleSchedule.dyadic(2, 5))
         assert len(built) == 1
@@ -616,7 +620,7 @@ class TestVolumeEstimate:
         def no_tree(*args, **kwargs):
             raise AssertionError("KD-tree built past the budget")
 
-        monkeypatch.setattr(dimest.boxcount, "cKDTree", no_tree)
+        monkeypatch.setattr(scipy.spatial, "cKDTree", no_tree)
         # Points 4 coarse cells apart: 30**3 * 27 coarse cells of 64 fine cells.
         lattice = np.stack(np.meshgrid(*[np.arange(30.0)] * 3), axis=-1).reshape(-1, 3)
         assert 30**3 * 27 * 64 > VOLUME_MAX_CELLS
@@ -708,7 +712,7 @@ def _spy_estimate(cloud: PointCloud, eps: float) -> tuple[list, list]:
             return super().query(x, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dimest.boxcount, "cKDTree", SpyTree)
+        patch.setattr(scipy.spatial, "cKDTree", SpyTree)
         volume_estimate(cloud, eps)
     return built, queried
 
@@ -795,6 +799,26 @@ class TestVolumeStencils:
             assert np.all(dist[in_sure] <= eps)
             assert np.all(dist[~in_reach] > eps)
         assert volume_estimate(cloud, eps).volume == _full_grid_volume(cloud, eps)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_estimator_widens_stencils_by_the_rounding_margin(self, d, monkeypatch):
+        # At the 2**48 h guard mu is about 1/4, which changes both stencils in
+        # 2-D and 3-D, so only the margin of the docstring gives these.
+        eps, h = 0.01, 0.0025
+        cloud = PointCloud((2.0**48 - 64 + np.arange(3.0)[:, None] + np.zeros(d)) * h)
+        used = []
+
+        def spy(*args):
+            used.append(volume_stencils(*args))
+            return used[-1]
+
+        monkeypatch.setattr(dimest.boxcount, "volume_stencils", spy)
+        volume_estimate(cloud, eps)
+        box = bounding_box(cloud).inflated(eps)
+        mu = (np.abs([box.min, box.max]).max() / h + 8) * 2.0**-50
+        assert mu > 0.24
+        assert all(map(np.array_equal, used[0], volume_stencils(d, mu)))
+        assert not all(map(np.array_equal, used[0], volume_stencils(d, 0.0)))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("mu", [0.0, 0.25, GUARD_MU])

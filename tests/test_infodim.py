@@ -27,8 +27,7 @@ from dimest import (
     shannon_entropy,
     uniform_square,
 )
-from dimest.boxcount import occupancy_series
-from dimest.infodim import histogram_entropy
+from dimest.boxcount import occupancy_entropy, occupancy_series
 
 
 def random_probs(rng, n):
@@ -164,7 +163,7 @@ def histogram(counts) -> OccupancyHistogram:
 
 
 def histogram_entropies(hists) -> list:
-    return [histogram_entropy(h) for h in hists]
+    return [occupancy_entropy(h.counts, h.total) for h in hists]
 
 
 def same_double(a: float, b: float) -> bool:
