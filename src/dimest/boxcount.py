@@ -469,7 +469,8 @@ def volume_estimate(cloud: PointCloud, epsilon: float) -> VolumeEstimate:
     epsilon of some cloud point; the volume is (marked cells) * h**d. Only the
     fine cells of the coarse cells (side 4h = epsilon) that hold or neighbor a
     point are examined, a bitmap row each, so the cost grows with the occupied
-    cells, not the box; over ``VOLUME_MAX_CELLS`` raise InputError before any query.
+    cells, not the box; over ``VOLUME_MAX_CELLS`` raise InputError before any query,
+    as for an epsilon whose grid or volume would overflow a float.
 
     A point of fine cell f is within (|delta_i| + 1/2) h of the center of
     f + delta on each axis, and at least max(0, |delta_i| - 1/2) h from it.
@@ -512,12 +513,19 @@ def volume_estimate(cloud: PointCloud, epsilon: float) -> VolumeEstimate:
     if not np.isfinite(eps) or eps <= 0:
         raise InputError(f"epsilon must be a positive real, got {epsilon}")
 
-    box = bounding_box(cloud).inflated(eps)
-    lo, h, d = box.min, eps / 4.0, cloud.dim
-    span = np.abs([lo, box.max]).max()
-    if not (h >= 2.0**-1022 and span <= 2.0**48 * h):
+    h, d = eps / 4.0, cloud.dim
+    with np.errstate(over="ignore"):
+        box = bounding_box(cloud).inflated(eps)
+        shape = np.ceil(box.widths / h)
+        # At most VOLUME_MAX_CELLS cells are marked, so the volume is finite too.
+        unit = np.float64(h) ** d * VOLUME_MAX_CELLS
+    lo, span = box.min, np.abs([box.min, box.max]).max()
+    if np.isfinite(span) and not (h >= 2.0**-1022 and span <= 2.0**48 * h):
         raise InputError("epsilon too small for coordinate range")
-    shape = [int(np.ceil(w / h)) for w in box.widths]
+    # An infinite span makes the widths, so the shape, infinite too.
+    if not np.isfinite([*shape, unit]).all():
+        raise InputError("epsilon too large for coordinate range")
+    shape = [int(size) for size in shape]
     occupied, _ = _unique_index_counts(box_indices(GridSpec(lo, h), cloud.points))
     near, _ = _unique_index_counts(occupied >> 2)
     # The 3**d neighbors axis by axis; near only grows, so the budget stops it early.

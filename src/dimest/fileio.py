@@ -9,13 +9,22 @@ so a save/load round trip is bit exact. A file of leading blank and ASCII
 one ``np.loadtxt`` call, with lines of only spaces and tabs emptied first; any
 other by a line-by-line parser, the only source of error messages. Both paths
 accept exactly the same inputs, bit for bit.
+
+A large save, on two or more usable CPUs, starts one helper interpreter
+(``python -I -S``: isolated, so it reads no ``PYTHON*`` environment variable
+and loads no site packages) that formats the second half of the rows while
+this process formats the first. If it cannot start or fails, this process
+formats the rest itself; the bytes are the same with or without it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 import os
 import re
+import sys
+import threading
 from pathlib import Path
 from typing import Sequence
 
@@ -35,9 +44,41 @@ _PLAIN_BYTES = b"0123456789+-.eE,\r\n \t"
 # parser skips it, and emptied it is a blank line np.loadtxt skips too.
 _BLANK_ROW = re.compile(rb"([\r\n])[ \t]+(?![^\r\n])")
 
+# Clouds of fewer coordinates are saved in this process alone. On a 2-vCPU
+# guest the helper starts in about 16 ms and broke even between 2**15 floats
+# (45 ms against 41 ms alone) and 2**16 (67 ms against 87 ms).
+_HELPER_MIN_FLOATS = 2**16
+# The helper: reads SIZE bytes of native float64 values from standard input
+# and writes them to standard output as rows of the template ROW.
+_HELPER_CODE = """\
+import sys
+from array import array
+row, size = sys.argv[1], int(sys.argv[2])
+data = sys.stdin.buffer.read(size)
+if len(data) != size:
+    sys.exit(1)
+values = array("d", data)
+sys.stdout.buffer.write((row * (len(values) // row.count("%")) % tuple(values)).encode())
+"""
+# Coordinates this process formats at a time beside the helper: one format
+# holds the GIL, which the thread feeding the helper needs between its writes,
+# and a chunk's floats and text are freed before the next.
+_CHUNK_FLOATS = 2**14
 
-def atomic_write_text(path, text: str) -> None:
-    """Write ``text`` to ``path`` via a temp file + rename in the same directory.
+
+def _row_template(d: int) -> str:
+    """One CSV row of d floats in shortest repr; the helper formats with it too."""
+    return "%r," * (d - 1) + "%r\n"
+
+
+def _rows(points: np.ndarray) -> str:
+    n, d = points.shape
+    return (_row_template(d) * n) % tuple(points.ravel().tolist())
+
+
+@contextlib.contextmanager
+def _atomic_open(path):
+    """A text handle on a temp file in ``path``'s directory, renamed onto it on success.
 
     The file gets the mode a plain ``open(path, "w")`` would: 0o666 & ~umask.
     """
@@ -47,7 +88,7 @@ def atomic_write_text(path, text: str) -> None:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            yield handle
         os.replace(tmp, target)
     except BaseException:
         try:
@@ -57,17 +98,89 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
+def atomic_write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` via a temp file + rename, as ``_atomic_open`` does."""
+    with _atomic_open(path) as handle:
+        handle.write(text)
+
+
 def points_to_csv(cloud: PointCloud, comments: Sequence[str] = ()) -> str:
     """Serialize a cloud to CSV text, full float precision."""
-    n, d = cloud.points.shape
-    rows = (("%r," * (d - 1) + "%r\n") * n) % tuple(cloud.points.ravel().tolist())
     # A cloud with no points and no comments is one empty line.
-    return "".join(f"# {c}\n" for c in comments) + rows or "\n"
+    return "".join(f"# {c}\n" for c in comments) + _rows(cloud.points) or "\n"
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _feed(stream, data: np.ndarray) -> None:
+    try:
+        with stream:
+            stream.write(data)
+    except OSError:  # the helper is gone, and exits non-zero
+        pass
+
+
+def _copy_helper_rows(helper, handle) -> bool:
+    """Append the helper's rows to ``handle``; on failure, take them out again."""
+    mark = handle.tell()
+    for chunk in iter(lambda: helper.stdout.read(1 << 20), b""):
+        handle.write(chunk.decode("ascii"))
+    if helper.wait() == 0:
+        return True
+    handle.seek(mark)
+    handle.truncate()
+    return False
 
 
 def save_points_csv(cloud: PointCloud, path, comments: Sequence[str] = ()) -> None:
-    """Write a cloud to ``path`` atomically."""
-    atomic_write_text(path, points_to_csv(cloud, comments))
+    """Write a cloud to ``path`` atomically, the bytes of :func:`points_to_csv`.
+
+    A cloud of at least ``_HELPER_MIN_FLOATS`` coordinates, on two or more
+    usable CPUs, has the rows of its second half formatted by one helper
+    interpreter meanwhile; the helper is killed, if still running, and reaped
+    before this returns or raises.
+    """
+    points = cloud.points
+    usable = sys.executable and not getattr(sys, "frozen", False)
+    if points.size < _HELPER_MIN_FLOATS or not usable or _usable_cpus() < 2:
+        atomic_write_text(path, points_to_csv(cloud, comments))
+        return
+    import subprocess  # here, so that importing dimest loads no subprocess
+
+    n, d = points.shape
+    head, tail = points[: n - n // 2], np.ascontiguousarray(points[n - n // 2 :])
+    try:
+        helper = subprocess.Popen(
+            [sys.executable, "-I", "-S", "-c", _HELPER_CODE, _row_template(d), str(tail.nbytes)],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+        )
+    except OSError:  # no helper: every row is formatted here
+        atomic_write_text(path, points_to_csv(cloud, comments))
+        return
+    feeder = threading.Thread(target=_feed, args=(helper.stdin, tail))
+    try:
+        feeder.start()
+        with _atomic_open(path) as handle:
+            handle.write("".join(f"# {c}\n" for c in comments))
+            step = max(1, _CHUNK_FLOATS // d)
+            for start in range(0, len(head), step):
+                handle.write(_rows(head[start : start + step]))
+            if not _copy_helper_rows(helper, handle):
+                handle.write(_rows(tail))
+    finally:
+        helper.kill()  # a no-op once the helper has been waited for
+        helper.wait()
+        if feeder.is_alive():
+            feeder.join()
+        helper.stdin.close()
+        helper.stdout.close()
 
 
 def load_points_csv(path) -> PointCloud:

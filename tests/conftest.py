@@ -7,6 +7,7 @@ couple tests.
 
 from __future__ import annotations
 
+import os
 import sys
 
 # Before anything imports dimest: a test run leaves no __pycache__ in src/,
@@ -37,6 +38,18 @@ CANTOR_LEVEL = 12
 def make_series(cloud: PointCloud, schedule: ScaleSchedule, anchor=None):
     """Count and entropy series off one shared occupancy pass."""
     return count_series(cloud, schedule, anchor), entropy_series(cloud, schedule, anchor)
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process behind, running or zombie."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    # (0, 0) for a child still running; a zombie's pid and status, now reaped.
+    pytest.fail(f"a child process outlived the test: waitpid gave {(pid, status)}")
 
 
 @pytest.fixture

@@ -636,6 +636,13 @@ class TestVolumeEstimate:
         with pytest.raises(InputError, match="^epsilon too small for coordinate range$"):
             volume_estimate(PointCloud(np.array(points)), eps)
 
+    @pytest.mark.parametrize("eps", [1e200, 1e300, 1e308])
+    def test_epsilon_too_large_guard(self, eps):
+        # h**2 or the inflated box overflows; no overflow reaches numpy or Python.
+        cloud = PointCloud(np.array([[0.0, 0.0], [1.0, 0.5]]))
+        with pytest.raises(InputError, match="^epsilon too large for coordinate range$"):
+            volume_estimate(cloud, eps)
+
     def test_singleton_disk_area(self):
         cloud = PointCloud(np.array([[0.3, 0.7]]))
         est = volume_estimate(cloud, 0.1)

@@ -185,6 +185,15 @@ def test_report_volume_refuses_unbounded_input(tmp_path, capsys, rows, epsilons,
     assert capsys.readouterr().err == f"dimest: error: {message}\n"
 
 
+def test_report_volume_refuses_huge_epsilon(tmp_path, capsys):
+    src, out = tmp_path / "pts.csv", tmp_path / "report.json"
+    src.write_text("0,0\n1,0.5\n0.25,0.75\n")
+    flags = ["--volume", "--epsilons", "1e200,1e199", "--json", str(out)]
+    assert run(["report", "--in", str(src), *flags]) == 1
+    assert capsys.readouterr().err == "dimest: error: epsilon too large for coordinate range\n"
+    assert not out.exists()
+
+
 def test_report_json_round_trip_bytes(tmp_path):
     src = tmp_path / "seg.csv"
     run(["generate", "segment", "--samples", "5000", "--out", str(src)])
@@ -467,6 +476,13 @@ print(sorted(added - set(sys.stdlib_module_names)))
     proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "['dimest', 'numpy']\n"
+
+
+def test_import_loads_no_subprocess():
+    # save_points_csv imports it when it starts a helper, not before.
+    proc = _python("-c", "import sys, dimest.cli; print('subprocess' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_missing_scipy_fails_only_volume_in_one_line(tmp_path):

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 import re
 import stat
+import subprocess
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from dimest import InputError, PointCloud, load_points_csv, save_points_csv
@@ -89,17 +91,23 @@ def test_serialization_full_precision():
     assert text == f"{value!r}\n"
 
 
-def test_written_file_mode_follows_umask(tmp_path):
+def written_modes(tmp_path, write):
+    """(plain open, ``write``) file modes under umasks 022 and 077."""
     modes = []
     for umask in (0o022, 0o077):
         old = os.umask(umask)
         try:
             plain, atomic = tmp_path / f"plain{umask:o}", tmp_path / f"atomic{umask:o}"
             plain.open("w").close()
-            atomic_write_text(atomic, "x")
+            write(atomic)
         finally:
             os.umask(old)
         modes.append((stat.S_IMODE(plain.stat().st_mode), stat.S_IMODE(atomic.stat().st_mode)))
+    return modes
+
+
+def test_written_file_mode_follows_umask(tmp_path):
+    modes = written_modes(tmp_path, lambda path: atomic_write_text(path, "x"))
     assert modes == [(0o644, 0o644), (0o600, 0o600)]
 
 
@@ -383,3 +391,184 @@ def test_plain_byte_check_agrees_with_the_row_regex(data):
     # the strings the row regex it replaced fully matched.
     regex = re.compile(rb"[0-9+\-.eE,\r\n \t]*")
     assert (not data.translate(None, _PLAIN)) == bool(regex.fullmatch(data))
+
+
+# --- Writer: the helper interpreter of large saves ----------------------------
+
+# The fewest coordinates a save hands half of to a helper interpreter.
+HELPER_MIN_FLOATS = 2**16
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308]
+NO_SHRINK = [Phase.explicit, Phase.reuse, Phase.generate]
+
+
+@contextlib.contextmanager
+def helper_spy(code=None, cpus=(0, 1)):
+    """The helpers ``save_points_csv`` starts, with ``cpus`` usable.
+
+    Yields the list of started ``Popen`` objects. ``code``, if given, replaces
+    the helper's program: a stand-in for a helper that fails.
+    """
+    started = []
+    original = subprocess.Popen
+
+    def spy(args, **kwargs):
+        if code is not None:
+            args = [*args[: args.index("-c") + 1], code, *args[args.index("-c") + 2 :]]
+        started.append(original(args, **kwargs))
+        return started[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(subprocess, "Popen", spy)
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+        yield started
+
+
+def assert_saved_as(path, expected: str) -> None:
+    """The file holds exactly ``expected``, or the first bytes that differ are shown.
+
+    (pytest's own diff of two megabyte texts takes minutes.)
+    """
+    got, want = path.read_bytes(), expected.encode("utf-8")
+    if got != want:
+        at = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), None)
+        at = min(len(got), len(want)) if at is None else at
+        pytest.fail(f"bytes differ at {at}: {got[at : at + 40]!r} != {want[at : at + 40]!r}")
+
+
+def assert_helper_ran(started):
+    assert [proc.returncode for proc in started] == [0]
+
+
+def helper_sized_cloud(d, seed=0, extra=0):
+    """An odd number of rows, at least HELPER_MIN_FLOATS coordinates."""
+    n = -(-HELPER_MIN_FLOATS // d) + extra
+    n += 1 - n % 2
+    return np.random.default_rng(seed).normal(size=(n, d)) * 10.0 ** (seed % 6 - 3)
+
+
+@pytest.mark.parametrize(
+    "d, floats, runs",
+    [
+        (1, HELPER_MIN_FLOATS - 1, False),
+        (1, HELPER_MIN_FLOATS, True),
+        (2, HELPER_MIN_FLOATS, True),
+        (3, HELPER_MIN_FLOATS - 2, False),
+        (3, HELPER_MIN_FLOATS + 2, True),
+    ],
+)
+def test_helper_starts_from_the_threshold(tmp_path, d, floats, runs):
+    points = np.random.default_rng(d).random(floats // d * d).reshape(-1, d)
+    with helper_spy() as started:
+        save_points_csv(PointCloud(points), tmp_path / "pts.csv")
+    assert len(started) == runs
+    assert_saved_as(tmp_path / "pts.csv", points_to_csv(PointCloud(points)))
+
+
+def test_helper_not_started_on_one_cpu(tmp_path):
+    points = helper_sized_cloud(2)
+    with helper_spy(cpus=[0]) as started:
+        save_points_csv(PointCloud(points), tmp_path / "pts.csv")
+    assert started == []
+    assert_saved_as(tmp_path / "pts.csv", points_to_csv(PointCloud(points)))
+
+
+# Each example formats 2**16 floats twice: shrinking a failure would take minutes.
+@settings(max_examples=12, deadline=None, derandomize=True, phases=NO_SHRINK)
+@given(
+    d=st.integers(min_value=1, max_value=3),
+    extra=st.integers(min_value=0, max_value=6),
+    seed=st.integers(min_value=0, max_value=5),
+    edges=st.lists(
+        st.tuples(st.floats(0, 1, exclude_max=True), st.sampled_from(EDGE_FLOATS), st.booleans()),
+        max_size=8,
+    ),
+    comments=st.lists(st.text(max_size=12), max_size=2),
+)
+def test_helper_save_matches_points_to_csv(tmp_path_factory, d, extra, seed, edges, comments):
+    points = helper_sized_cloud(d, seed, extra)
+    n = len(points)
+    # Edge values on both sides of the split, at n - n // 2.
+    for where, value, sign in edges:
+        points[int(where * n), int(where * d * n) % d] = -value if sign else value
+    points[n - n // 2 - 1, 0], points[n - n // 2, d - 1] = EDGE_FLOATS[seed], EDGE_FLOATS[-1 - seed]
+    cloud = PointCloud(points)
+    path = tmp_path_factory.mktemp("save") / "pts.csv"
+    with helper_spy() as started:
+        save_points_csv(cloud, path, comments)
+    assert_helper_ran(started)
+    assert_saved_as(path, points_to_csv(cloud, comments))
+
+
+def test_helper_save_round_trips_bits(tmp_path):
+    points = helper_sized_cloud(3, seed=4)
+    points[::97] = np.resize(EDGE_FLOATS + [-v for v in EDGE_FLOATS], points[::97].shape)
+    with helper_spy() as started:
+        save_points_csv(PointCloud(points), tmp_path / "pts.csv", ["header"])
+    assert_helper_ran(started)
+    assert load_points_csv(tmp_path / "pts.csv").points.tobytes() == points.tobytes()
+
+
+def test_helper_save_mode_follows_umask(tmp_path):
+    cloud = PointCloud(helper_sized_cloud(2))
+    with helper_spy() as started:
+        modes = written_modes(tmp_path, lambda path: save_points_csv(cloud, path))
+    assert [proc.returncode for proc in started] == [0, 0]
+    assert modes == [(0o644, 0o644), (0o600, 0o600)]
+
+
+def test_helper_that_cannot_start_falls_back(tmp_path, monkeypatch):
+    def no_process(*args, **kwargs):
+        raise OSError("no process for you")
+
+    cloud = PointCloud(helper_sized_cloud(2))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(subprocess, "Popen", no_process)
+    save_points_csv(cloud, tmp_path / "pts.csv", ["c"])
+    assert_saved_as(tmp_path / "pts.csv", points_to_csv(cloud, ["c"]))
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import sys; sys.exit(3)",  # before reading: the feed breaks its pipe
+        # Rows past the true tail's end, then failure: all of them are taken out.
+        "import sys; sys.stdin.buffer.read(); print('9,9\\n' * 10**6); sys.exit(1)",
+    ],
+)
+def test_failing_helper_falls_back(tmp_path, code):
+    cloud = PointCloud(helper_sized_cloud(2, seed=1))
+    with helper_spy(code) as started:
+        save_points_csv(cloud, tmp_path / "pts.csv", ["c"])
+    assert [proc.returncode != 0 for proc in started] == [True]
+    assert_saved_as(tmp_path / "pts.csv", points_to_csv(cloud, ["c"]))
+    assert [p.name for p in tmp_path.iterdir()] == ["pts.csv"]
+
+
+@pytest.mark.parametrize("error", [KeyboardInterrupt, MemoryError])
+def test_interrupted_save_leaves_target_and_no_process(tmp_path, monkeypatch, error):
+    target = tmp_path / "pts.csv"
+    target.write_text("old\n")
+    real_fdopen = os.fdopen
+
+    def fdopen(fd, *args, **kwargs):
+        handle = real_fdopen(fd, *args, **kwargs)
+        write, writes = handle.write, []
+
+        def failing_write(text):
+            writes.append(len(text))
+            if len(writes) == 3:  # the comments, then two chunks of rows
+                raise error
+            return write(text)
+
+        handle.write = failing_write
+        return handle
+
+    with helper_spy() as started:
+        monkeypatch.setattr(os, "fdopen", fdopen)
+        with pytest.raises(error):
+            save_points_csv(PointCloud(helper_sized_cloud(2)), target, ["c"])
+    assert len(started) == 1 and started[0].returncode is not None
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert target.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["pts.csv"]
