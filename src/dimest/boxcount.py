@@ -26,18 +26,26 @@ k >= 0, the points are indexed only at the finest scale k_max: dividing by
 ``2**-k`` is then an exact multiplication, so
 ``floor(y * 2**k) == floor(y * 2**k_max) >> (k_max - k)`` (the arithmetic
 shift floors negative indices too; every index has ``|i| < 2**62``, so any
-shift past 62 floors alike). Histograms take each coarser scale's
-lexicographic rows and counts from the finer one's, shifted and merged
-(``_unique_index_counts``). Counts alone offset each axis by a multiple of
-``2**(k_max - k_min)`` (of ``2**62`` past that), which makes the indices
-non-negative and keeps ``(i - o) >> s == (i >> s) - (o >> s)`` at every
-scale, and interleave their bits into one Z-order (Morton) key, sorted once
-and run-length encoded. A cell at scale k is the key shifted right by
+shift past 62 floors alike). Histograms index the whole cloud into one
+``(n, d)`` array and take each coarser scale's lexicographic rows and counts
+from the finer one's, shifted and merged (``_unique_index_counts``).
+
+Counts alone build no such array. Indexing is monotone in each coordinate
+(the subtraction, the division by a positive epsilon and the floor all keep
+order), so the bounding-box corners hold the least and greatest index on each
+axis. From them each axis is offset by a multiple of ``2**(k_max - k_min)``
+(of ``2**62`` past that), which makes the indices non-negative and keeps
+``(i - o) >> s == (i >> s) - (o >> s)`` at every scale. The offset indices
+of each point interleave their bits into one Z-order (Morton) key; the keys
+are built a chunk of points at a time (``_KEY_ROWS``), sorted once and
+run-length encoded. A cell at scale k is the key shifted right by
 ``d * (k_max - k)``, still sorted, so each coarser scale merges runs of the
 finer one's cells (``np.add.reduceat``) without another sort. A key holds
 ``63 // d`` bits an axis; the finer scales of wider spans are merged as
-histograms are. Other schedules, negative k among them (where ``y / 2**-k``
-can round a tiny negative ``y`` to -0.0), index every scale.
+histograms are, from an index array freed after the finest merge, and the
+keys of the coarser scales are then built from the points again. Other
+schedules, negative k among them (where ``y / 2**-k`` can round a tiny
+negative ``y`` to -0.0), index every scale.
 
 Each scale's count n(eps) and entropy S(eps) (``occupancy_entropy``) are
 taken as the pass reaches it, and each cloud keeps only these scalars of its
@@ -91,6 +99,12 @@ _PASSES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 # Packed keys spanning at most this many cells are tallied in a dense array
 # (8 MB of int64) rather than sorted.
 _DENSE_CELLS = 1 << 20
+
+# Points indexed at a time while their Z-order keys are built; a chunk's
+# temporaries take a few MB. On a 10**6-point Henon orbit at dyadic(3, 14)
+# (in process, 2 vCPU, median of 12) 2**13 to 2**16 rows time the scalar pass
+# alike, 47-49 ms, while 2**18 takes 55 ms and 2**20 65 ms.
+_KEY_ROWS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,21 +314,31 @@ def _spread_table(d: int, bits: int) -> np.ndarray:
     return x
 
 
-def _interleave(cols: list, bits: int) -> np.ndarray:
-    """Z-order keys of non-negative ``bits``-bit int64 columns, axis 0 most significant.
+def _zorder_keys(points: np.ndarray, grid: GridSpec, offsets: list, level: int, bits: int):
+    """Z-order keys of the ``bits``-bit cells ``(i - offsets) >> level`` of the points.
 
-    Each column is spread through a table, up to 16 bits at a time.
+    ``i`` is each point's index on ``grid``, taken ``_KEY_ROWS`` points at a
+    time, so no index array of the whole cloud is built. Axis 0 is the most
+    significant; each axis is spread through a table, up to 16 bits at a time.
     """
-    d = len(cols)
+    d = len(offsets)
     step = max(min(16, 63 // d, bits), 1)
     table = _spread_table(d, step)
-    keys = np.zeros(len(cols[0]), dtype=np.uint64)
-    for axis, col in enumerate(cols):
-        for low in range(0, bits, step):
-            part = col >> low if low else col
-            if bits - low > step:
-                part = part & ((1 << step) - 1)
-            keys |= table.take(part) << (d * low + d - 1 - axis)
+    keys = np.zeros(len(points), dtype=np.uint64)
+    for start in range(0, len(points), _KEY_ROWS):
+        out = keys[start : start + _KEY_ROWS]
+        idx = box_indices(grid, points[start : start + _KEY_ROWS])
+        for axis, (col, offset) in enumerate(zip(idx.T, offsets)):
+            col = col - offset
+            col >>= level
+            for low in range(0, bits, step):
+                part = col >> low if low else col
+                if bits - low > step:
+                    part = part & ((1 << step) - 1)
+                spread = table.take(part)
+                spread <<= d * low + d - 1 - axis
+                out |= spread
+        idx = col = part = spread = None  # freed before the next chunk is indexed
     return keys
 
 
@@ -326,12 +350,22 @@ def _dyadic_scales(cloud: PointCloud, resolved: np.ndarray, schedule: ScaleSched
     the module docstring.
     """
     ks = schedule.ks
-    idx = box_indices(GridSpec(resolved, schedule.epsilons[-1]), cloud.points)
+    grid = GridSpec(resolved, schedule.epsilons[-1])
     shifts = [min(int(ks[-1] - k), 62) for k in ks]
-    offsets = [int(col.min()) >> shifts[0] << shifts[0] for col in idx.T]
-    d = len(offsets)
-    width = max((int(col.max()) - o).bit_length() for col, o in zip(idx.T, offsets))
-    least = 63 if rows else width - 63 // d  # merged below: rows, or cells too wide for a key
+    least = 63  # merged below: rows, or cells too wide for a key
+    if not rows:
+        # Indexing is monotone in each coordinate, so the bounding-box corners
+        # hold the least and greatest index on each axis.
+        box = bounding_box(cloud)
+        with np.errstate(over="ignore"):
+            corners = np.floor((np.stack([box.min, box.max]) - resolved) / grid.epsilon)
+        if not np.all(np.abs(corners) < 2.0**62):  # the bound of box_indices
+            box_indices(grid, cloud.points)  # raises its error for the points
+        lowest, highest = corners.astype(np.int64).tolist()
+        offsets = [i >> shifts[0] << shifts[0] for i in lowest]
+        width = max((i - o).bit_length() for i, o in zip(highest, offsets))
+        least = width - 63 // cloud.dim
+    idx = box_indices(grid, cloud.points) if least > 0 else None
     cells = counts = keys = None
     for i in range(len(ks) - 1, -1, -1):
         shift = shifts[i]
@@ -339,23 +373,27 @@ def _dyadic_scales(cloud: PointCloud, resolved: np.ndarray, schedule: ScaleSched
             cells, counts = _unique_index_counts(
                 idx if cells is None else cells >> (shift - shifts[i + 1]), counts
             )
+            idx = None
             yield i, counts, cells if rows else None
             continue
         level = min(shift, width)
-        if keys is None:  # free the merged rows and the indices before interleaving
-            cells = None
-            cols = [(col - o) >> level for col, o in zip(idx.T, offsets)]
-            idx = None
-            keys = _interleave(cols, width - level)
-            cols = None
+        # Each array is freed as soon as it is used up: the finer keys before
+        # the counts are merged, the run starts before the scale is yielded.
+        if keys is None:
+            cells = None  # free the merged rows before the keys are built
+            keys = _zorder_keys(cloud.points, grid, offsets, level, width - level)
             keys.sort()
             starts = _run_starts(keys)
-            keys, counts = keys[starts], np.diff(np.append(starts, len(keys)))
+            total, keys = len(keys), keys[starts]
+            counts = np.empty_like(starts)
+            np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+            counts[-1] = total - starts[-1]
         elif level > finer:
-            keys >>= d * (level - finer)
+            keys >>= cloud.dim * (level - finer)
             starts = _run_starts(keys)
-            keys, counts = keys[starts], np.add.reduceat(counts, starts)
-        finer = level
+            keys = keys[starts]
+            counts = np.add.reduceat(counts, starts)
+        starts, finer = None, level
         yield i, counts, None
 
 
@@ -405,7 +443,10 @@ def occupancy_series(
     Dyadic schedules index the points once and merge each coarser scale's
     rows from the finer one's; other schedules count each scale from the
     points in turn (see the module docstring). Both give the histograms of
-    :func:`count_boxes` bit for bit.
+    :func:`count_boxes` bit for bit. Only this histogram path holds an
+    ``(n, d)`` index array of the whole cloud on a dyadic schedule whose
+    spans fit a Z-order key: ``count_series`` and ``entropy_series`` build
+    their keys a chunk of points at a time.
 
     The histograms are kept with the counts and entropies while the cloud
     lives, so a second call with the same resolved anchor and schedule
@@ -470,7 +511,8 @@ def volume_estimate(cloud: PointCloud, epsilon: float) -> VolumeEstimate:
     fine cells of the coarse cells (side 4h = epsilon) that hold or neighbor a
     point are examined, a bitmap row each, so the cost grows with the occupied
     cells, not the box; over ``VOLUME_MAX_CELLS`` raise InputError before any query,
-    as for an epsilon whose grid or volume would overflow a float.
+    as for an epsilon whose grid or volume would overflow a float, or whose
+    cell volume ``h**d`` underflows to 0.
 
     A point of fine cell f is within (|delta_i| + 1/2) h of the center of
     f + delta on each axis, and at least max(0, |delta_i| - 1/2) h from it.
@@ -514,17 +556,22 @@ def volume_estimate(cloud: PointCloud, epsilon: float) -> VolumeEstimate:
         raise InputError(f"epsilon must be a positive real, got {epsilon}")
 
     h, d = eps / 4.0, cloud.dim
-    with np.errstate(over="ignore"):
-        box = bounding_box(cloud).inflated(eps)
-        shape = np.ceil(box.widths / h)
+    box = bounding_box(cloud)
+    # An epsilon of 2**-1073 or less makes h zero, the widths over it nan or infinite.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        lo, hi = box.min - eps, box.max + eps  # the box inflated by epsilon
+        shape = np.ceil((hi - lo) / h)
         # At most VOLUME_MAX_CELLS cells are marked, so the volume is finite too.
-        unit = np.float64(h) ** d * VOLUME_MAX_CELLS
-    lo, span = box.min, np.abs([box.min, box.max]).max()
+        cell = np.float64(h) ** d
+        unit = cell * VOLUME_MAX_CELLS
+    span = np.abs([lo, hi]).max()
     if np.isfinite(span) and not (h >= 2.0**-1022 and span <= 2.0**48 * h):
         raise InputError("epsilon too small for coordinate range")
     # An infinite span makes the widths, so the shape, infinite too.
     if not np.isfinite([*shape, unit]).all():
         raise InputError("epsilon too large for coordinate range")
+    if cell == 0:  # h under about 1.6e-162 at d = 2, 1.4e-108 at d = 3
+        raise InputError("epsilon too small: cell volume h**d underflows to 0")
     shape = [int(size) for size in shape]
     occupied, _ = _unique_index_counts(box_indices(GridSpec(lo, h), cloud.points))
     near, _ = _unique_index_counts(occupied >> 2)

@@ -12,6 +12,7 @@ arithmetic uses exact integer floor.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -30,6 +31,10 @@ __all__ = [
 
 # Indices beyond this magnitude would be unsafe to cast to int64.
 _INDEX_LIMIT = 2.0**62
+
+# The bounding box of each cloud, freed with it: a cloud is immutable and
+# hashed by identity, so its box cannot be outdated.
+_BOXES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _as_vector(value, name: str, dim: int | None = None) -> np.ndarray:
@@ -106,21 +111,24 @@ class BoundingBox:
 
 
 def bounding_box(cloud: PointCloud) -> BoundingBox:
-    """Tight axis-aligned bounding box of a cloud.
+    """Tight axis-aligned bounding box of a cloud, computed once per cloud.
 
     Raises:
         InputError: for an empty cloud.
     """
     if len(cloud) == 0:
         raise InputError("empty point set")
-    # Columns reduce ~10x faster than axis 0, but may give a +-0.0 extremum
-    # the other sign; only then is the axis-0 result used, so the bits agree.
-    cols = cloud.points.T
-    lo = np.array([col.min() for col in cols])
-    hi = np.array([col.max() for col in cols])
-    if not (lo.all() and hi.all()):
-        lo, hi = cloud.points.min(axis=0), cloud.points.max(axis=0)
-    return BoundingBox(lo, hi)
+    box = _BOXES.get(cloud)
+    if box is None:
+        # Columns reduce ~10x faster than axis 0, but may give a +-0.0 extremum
+        # the other sign; only then is the axis-0 result used, so the bits agree.
+        cols = cloud.points.T
+        lo = np.array([col.min() for col in cols])
+        hi = np.array([col.max() for col in cols])
+        if not (lo.all() and hi.all()):
+            lo, hi = cloud.points.min(axis=0), cloud.points.max(axis=0)
+        box = _BOXES[cloud] = BoundingBox(lo, hi)
+    return box
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,12 +168,19 @@ def box_indices(grid: GridSpec, points: np.ndarray) -> np.ndarray:
         raise InputError(
             f"points of dimension {pts.shape[-1]} do not match grid dimension {grid.dim}"
         )
-    if pts.size and not np.all(np.isfinite(pts)):
-        raise InputError("points have non-finite coordinates")
-    with np.errstate(over="ignore"):  # an infinite index fails the check below
-        scaled = np.floor((pts - grid.anchor) / grid.epsilon)
-    if scaled.size and np.max(np.abs(scaled)) >= _INDEX_LIMIT:
-        raise InputError("box index overflow: epsilon too small for coordinate range")
+    # Column by column, then in place: broadcasting the anchor over the rows
+    # is several times slower. The points are checked for non-finite values
+    # only when an index is out of range, as a non-finite point makes it.
+    scaled = np.empty(pts.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for axis, col in enumerate(pts.T):
+            np.subtract(col, grid.anchor[axis], out=scaled[:, axis])
+        scaled /= grid.epsilon
+        np.floor(scaled, out=scaled)
+        if scaled.size and not (-_INDEX_LIMIT < scaled.min() and scaled.max() < _INDEX_LIMIT):
+            if not np.all(np.isfinite(pts)):
+                raise InputError("points have non-finite coordinates")
+            raise InputError("box index overflow: epsilon too small for coordinate range")
     return scaled.astype(np.int64)
 
 

@@ -424,6 +424,69 @@ class TestScalarPass:
         assert len(box_indices_calls) == 2
 
 
+# Points whose Z-order keys are built together; the tests below size their
+# clouds around it rather than patch it.
+KEY_CHUNK = 2**16
+
+
+def chunked_cloud(n: int, d: int) -> np.ndarray:
+    """n points in [-1, 1]**d; each chunk's first row repeats the row before it."""
+    points = np.random.default_rng(n + d).uniform(-1.0, 1.0, size=(n, d))
+    points[KEY_CHUNK::KEY_CHUNK] = points[KEY_CHUNK - 1 : -1 : KEY_CHUNK]
+    if n > 1:
+        points[-1] = points[0]
+    return points
+
+
+def assert_scalar_pass_matches(points, schedule, anchor):
+    expected = per_scale(PointCloud(points), schedule, anchor)
+    cloud = PointCloud(points)
+    counts = count_series(cloud, schedule, anchor).counts
+    bits = entropy_series(cloud, schedule, anchor).entropy_bits
+    occupied = np.array([h.occupied for h in expected], dtype=np.int64)
+    assert counts.tobytes() == occupied.tobytes()
+    assert bits.tobytes() == np.array([shannon_entropy(probabilities(h)) for h in expected]).tobytes()
+    assert_same_histograms(occupancy_series(PointCloud(points), schedule, anchor), expected)
+
+
+class TestKeyChunks:
+    """The scalar pass builds its keys a chunk of points at a time."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, KEY_CHUNK - 1, KEY_CHUNK, KEY_CHUNK + 1, 3 * KEY_CHUNK + 5])
+    def test_chunk_boundaries_match_per_scale(self, n, d):
+        points = chunked_cloud(n, d)
+        for anchor in (None, np.full(d, 0.1)):  # an anchor inside: negative indices
+            assert_scalar_pass_matches(points, ScaleSchedule.dyadic(2, 10), anchor)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_chunk_boundary_with_spans_too_wide_for_a_key(self, d):
+        # The span at k_max is 63 // d + 3 bits: the three finest scales are
+        # merged from an index array of the cloud, the four coarser from keys.
+        k_max = 63 // d + 2
+        points = chunked_cloud(KEY_CHUNK + 1, d)
+        for anchor in (None, np.full(d, 0.1)):
+            assert_scalar_pass_matches(points, ScaleSchedule.dyadic(k_max - 6, k_max), anchor)
+
+    def test_scalar_pass_holds_no_index_array_of_the_cloud(self):
+        # The keys (8 bytes a point) and their runs set the peak, 3.0 x 8n here;
+        # an (n, 2) int64 index array of the cloud, with the columns interleaved
+        # from it, takes the peak to 5.3 x 8n.
+        n = 2 * 10**5
+        cloud = henon_orbit(HenonParams(samples=n))
+        schedule = ScaleSchedule.dyadic(3, 14)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            count_series(cloud, schedule)
+            entropy_series(cloud, schedule)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 3.5 * 8 * n
+
+
 class TestSharedPass:
     """Each cloud keeps its last histograms, so counts and entropy share a pass."""
 
@@ -630,7 +693,12 @@ class TestVolumeEstimate:
 
     @pytest.mark.parametrize(
         "points, eps",
-        [([[1e13, 0.0], [1e13 + 1.0, 1.0]], 0.004), ([[-3e11]], 0.004), ([[0.0]], 1e-310)],
+        [
+            ([[1e13, 0.0], [1e13 + 1.0, 1.0]], 0.004),
+            ([[-3e11]], 0.004),
+            ([[0.0]], 1e-310),
+            ([[-0.0, -0.0, -0.0]], 5e-324),  # h = eps / 4 rounds to 0
+        ],
     )
     def test_resolution_guard(self, points, eps):
         with pytest.raises(InputError, match="^epsilon too small for coordinate range$"):
@@ -642,6 +710,33 @@ class TestVolumeEstimate:
         cloud = PointCloud(np.array([[0.0, 0.0], [1.0, 0.5]]))
         with pytest.raises(InputError, match="^epsilon too large for coordinate range$"):
             volume_estimate(cloud, eps)
+
+    def test_epsilon_too_large_guard_when_a_corner_overflows(self):
+        # -1e300 - epsilon overflows to -inf: the inflated box, not only its widths.
+        cloud = PointCloud(np.array([[1e300, -1e300]]))
+        with pytest.raises(InputError, match="^epsilon too large for coordinate range$"):
+            volume_estimate(cloud, 1.7976931348623157e308)
+
+    @pytest.mark.parametrize(
+        "points, eps",
+        [
+            ([[0.0, 0.0], [1e-190, 1e-190], [5e-191, 2e-191]], 1e-200),
+            ([[0.0, 0.0, 0.0], [1e-100, 2e-100, 3e-100]], 4e-109),
+        ],
+    )
+    def test_underflowing_cell_volume_refused_before_any_work(
+        self, monkeypatch, box_indices_calls, points, eps
+    ):
+        # h is a normal float and the span passes the resolution guard, but h**d is 0.
+        def no_tree(*args, **kwargs):
+            raise AssertionError("KD-tree built for an underflowing cell volume")
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", no_tree)
+        cloud = PointCloud(np.array(points))
+        message = "epsilon too small: cell volume h**d underflows to 0"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            volume_estimate(cloud, eps)
+        assert box_indices_calls == []
 
     def test_singleton_disk_area(self):
         cloud = PointCloud(np.array([[0.3, 0.7]]))

@@ -2,20 +2,36 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dimest
-from dimest import REPORT_JSON_SCHEMA, load_points_csv, uniform_segment
-from dimest.boxcount import VOLUME_MAX_CELLS
+from dimest import (
+    REPORT_JSON_SCHEMA,
+    DimestError,
+    PointCloud,
+    ScaleSchedule,
+    build_report,
+    count_series,
+    entropy_series,
+    load_points_csv,
+    uniform_segment,
+    volume_estimate,
+)
+from dimest.boxcount import VOLUME_MAX_CELLS, occupancy_scalars
 from dimest.cli import run
 
 
@@ -191,6 +207,17 @@ def test_report_volume_refuses_huge_epsilon(tmp_path, capsys):
     flags = ["--volume", "--epsilons", "1e200,1e199", "--json", str(out)]
     assert run(["report", "--in", str(src), *flags]) == 1
     assert capsys.readouterr().err == "dimest: error: epsilon too large for coordinate range\n"
+    assert not out.exists()
+
+
+def test_report_volume_refuses_underflowing_cell_volume(tmp_path, capsys):
+    # h = 2.5e-201 is a normal float and the points span 4e10 cells, but h**2 is 0.
+    src, out = tmp_path / "pts.csv", tmp_path / "report.json"
+    src.write_text("0,0\n1e-190,1e-190\n5e-191,2e-191\n")
+    flags = ["--volume", "--epsilons", "1e-200,5e-201", "--json", str(out)]
+    assert run(["report", "--in", str(src), *flags]) == 1
+    message = "epsilon too small: cell volume h**d underflows to 0"
+    assert capsys.readouterr().err == f"dimest: error: {message}\n"
     assert not out.exists()
 
 
@@ -546,3 +573,100 @@ def test_anchor_origin_mode(tmp_path, capsys):
     src.write_text("-0.1,0.0\n0.1,0.0\n")
     assert run(["count", "--in", str(src), "--kmin", "0", "--kmax", "0", "--anchor", "origin"]) == 0
     assert capsys.readouterr().out == "k,epsilon,count\n0,1.0,2\n"
+
+
+# Coordinates at the edges of float64: signed zeros, the least subnormal, tiny,
+# huge and the largest finite values, and a few plain ones that fit a report.
+EDGE_COORDS = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300]
+EDGE_COORDS += [1.7976931348623157e308, -1.7976931348623157e308, 1.0, -1.0, 0.5, 0.3]
+EDGE_SCALES = [1.7976931348623157e308, 1e300, 1e200, 1.0, 0.5, 0.004, 1e-200, 1e-300, 5e-324]
+# None leaves the flag out.
+EDGE_PARAMS = [None, None, float("nan"), float("inf"), float("-inf"), 0.0, 0.05, 1e308, -1e308]
+REPORT_PARAMS = ("reference_dim", "tolerance", "gap_threshold")
+
+
+@st.composite
+def cli_cases(draw):
+    """Rows of a d = 1..3 CSV, a subcommand and its scale and report flags."""
+    d = draw(st.integers(min_value=1, max_value=3))
+    pool = draw(st.lists(st.sampled_from(EDGE_COORDS), min_size=1, max_size=5, unique=True))
+    coords = st.lists(st.sampled_from(pool), min_size=d, max_size=d)
+    rows = draw(st.lists(coords, min_size=1, max_size=8))
+    command = draw(st.sampled_from(["count", "entropy", "report"]))
+    if draw(st.booleans()):
+        scales = draw(st.lists(st.sampled_from(EDGE_SCALES), min_size=1, max_size=3, unique=True))
+        if draw(st.booleans()):
+            scales.sort(reverse=True)
+        flags = ["--epsilons=" + ",".join(map(repr, scales))]
+    else:
+        kmin, kmax = sorted(draw(st.integers(min_value=-5, max_value=60)) for _ in range(2))
+        flags = [f"--kmin={kmin}", f"--kmax={kmax}"]
+    if draw(st.booleans()):
+        flags.append("--anchor=origin")
+    if command == "report":
+        if draw(st.booleans()):
+            flags.append("--volume")
+        for name in REPORT_PARAMS:
+            value = draw(st.sampled_from(EDGE_PARAMS))
+            if value is not None:
+                flags.append(f"--{name.replace('_', '-')}={value!r}")
+    return rows, command, flags
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=cli_cases())
+def test_cli_contract_on_edge_inputs(case):
+    # Exit 0 writes its file and nothing on stderr; any other exit is 1 or 2,
+    # one "dimest: error:" line and no file.
+    rows, command, flags = case
+    with tempfile.TemporaryDirectory() as tmp:
+        src, dst = Path(tmp) / "pts.csv", Path(tmp) / "out"
+        src.write_text("".join(",".join(map(repr, row)) + "\n" for row in rows))
+        out_flag = "--json" if command == "report" else "--out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run([command, "--in", str(src), *flags, out_flag, str(dst)])
+        if code == 0:
+            assert err.getvalue() == ""
+            assert dst.exists()
+        else:
+            assert code in (1, 2)
+            assert err.getvalue().startswith("dimest: error: ")
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+            assert not dst.exists()
+
+
+@st.composite
+def library_cases(draw):
+    """The library twin of ``cli_cases``: a cloud, schedule, anchor and report flags."""
+    d = draw(st.integers(min_value=1, max_value=3))
+    pool = draw(st.lists(st.sampled_from(EDGE_COORDS), min_size=1, max_size=5, unique=True))
+    coords = st.lists(st.sampled_from(pool), min_size=d, max_size=d)
+    cloud = PointCloud(np.array(draw(st.lists(coords, min_size=1, max_size=8))))
+    scales = draw(st.lists(st.sampled_from(EDGE_SCALES), min_size=1, max_size=3, unique=True))
+    if draw(st.booleans()):
+        scales.sort(reverse=True)
+    kmin, kmax = sorted(draw(st.integers(min_value=-5, max_value=60)) for _ in range(2))
+    schedule = draw(st.sampled_from([("dyadic", kmin, kmax), ("from_epsilons", scales)]))
+    anchor = draw(st.sampled_from([None, np.zeros(d), np.full(d, draw(st.sampled_from(pool)))]))
+    drawn = {name: draw(st.sampled_from(EDGE_PARAMS)) for name in REPORT_PARAMS}
+    params = {name: value for name, value in drawn.items() if value is not None}
+    epsilon = draw(st.sampled_from(EDGE_SCALES + [0.0, -1.0, float("nan"), float("inf")]))
+    return cloud, schedule, anchor, draw(st.booleans()), params, epsilon
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=library_cases())
+def test_library_raises_only_dimest_errors(case):
+    # What the CLI maps to exit codes; any other exception, or a warning, which
+    # tier-1 turns into one, escapes this test.
+    cloud, (make, *args), anchor, volume, params, epsilon = case
+    with contextlib.suppress(DimestError, MemoryError):
+        volume_estimate(cloud, epsilon)
+    with contextlib.suppress(DimestError, MemoryError):
+        schedule = getattr(ScaleSchedule, make)(*args)
+        occupancy_scalars(cloud, schedule, anchor)
+        counts = count_series(cloud, schedule, anchor)
+        entropies = entropy_series(cloud, schedule, anchor)
+        volumes = [volume_estimate(cloud, e) for e in schedule.epsilons] if volume else None
+        build_report(counts, entropies, volumes, **params)

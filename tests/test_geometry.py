@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import re
+import weakref
 
 import numpy as np
 import pytest
@@ -110,12 +113,65 @@ class TestBoundingBox:
         assert np.array_equal(grown.min, [-0.5, -0.5])
         assert np.array_equal(grown.widths, [2.0, 2.0])
 
+    def test_computed_once_and_freed_with_the_cloud(self):
+        cloud = PointCloud(np.array([[0.0, 1.0], [2.0, -1.0]]))
+        box = bounding_box(cloud)
+        assert bounding_box(cloud) is box
+        assert bounding_box(PointCloud(cloud.points)) is not box
+        ref = weakref.ref(box)
+        del cloud, box
+        gc.collect()
+        assert ref() is None
+
     def test_henon_orbit_is_bounded(self):
         # Canonical attractor stays well inside this window.
         cloud = henon_orbit(HenonParams(transient=100, samples=1000))
         window = BoundingBox(np.array([-1.5, -0.45]), np.array([1.5, 0.45]))
         assert np.all((cloud.points >= window.min) & (cloud.points <= window.max))
 
+
+def reference_box_indices(grid: GridSpec, points) -> np.ndarray:
+    """box_indices row-broadcast, the points checked before they are indexed."""
+    pts = np.asarray(points, dtype=float)
+    if pts.size and not np.all(np.isfinite(pts)):
+        raise InputError("points have non-finite coordinates")
+    with np.errstate(over="ignore"):
+        scaled = np.floor((pts - grid.anchor) / grid.epsilon)
+    if scaled.size and np.max(np.abs(scaled)) >= 2.0**62:
+        raise InputError("box index overflow: epsilon too small for coordinate range")
+    return scaled.astype(np.int64)
+
+
+edge_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -1e-300, 1.0, 1e300, -1.7976931348623157e308]),
+    st.floats(),
+)
+
+
+class TestBoxIndex:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        d=st.integers(min_value=1, max_value=3),
+        n=st.integers(min_value=0, max_value=6),
+        data=st.data(),
+        eps=st.floats(min_value=5e-324, max_value=1e308),
+    )
+    def test_matches_the_reference_bit_for_bit(self, d, n, data, eps):
+        # Same indices, or the same error: non-finite points before an overflow.
+        rows = st.lists(edge_floats, min_size=d, max_size=d)
+        points = np.array(data.draw(st.lists(rows, min_size=n, max_size=n)), dtype=float)
+        points = points.reshape(n, d)
+        anchor = data.draw(st.lists(finite_floats, min_size=d, max_size=d))
+        grid = GridSpec(anchor=np.array(anchor), epsilon=eps)
+        try:
+            expected = reference_box_indices(grid, points)
+        except InputError as exc:
+            with pytest.raises(InputError, match=f"^{re.escape(str(exc))}$"):
+                box_indices(grid, points)
+        else:
+            got = box_indices(grid, points)
+            assert got.dtype == np.int64 and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
 
 class TestBoxIndex:
     def test_exact_division_half_open(self):
