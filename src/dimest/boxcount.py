@@ -36,8 +36,9 @@ order), so the bounding-box corners hold the least and greatest index on each
 axis. From them each axis is offset by a multiple of ``2**(k_max - k_min)``
 (of ``2**62`` past that), which makes the indices non-negative and keeps
 ``(i - o) >> s == (i >> s) - (o >> s)`` at every scale. The offset indices
-of each point interleave their bits into one Z-order (Morton) key; the keys
-are built a chunk of points at a time (``_KEY_ROWS``), sorted once and
+of each point interleave their bits into one Z-order (Morton) key, 32-bit
+when the ``d * bits`` bits of the finest scale fit and 64-bit otherwise; the
+keys are built a chunk of points at a time (``_KEY_ROWS``), sorted once and
 run-length encoded. A cell at scale k is the key shifted right by
 ``d * (k_max - k)``, still sorted, so each coarser scale merges runs of the
 finer one's cells (``np.add.reduceat``) without another sort. A key holds
@@ -320,11 +321,12 @@ def _zorder_keys(points: np.ndarray, grid: GridSpec, offsets: list, level: int, 
     ``i`` is each point's index on ``grid``, taken ``_KEY_ROWS`` points at a
     time, so no index array of the whole cloud is built. Axis 0 is the most
     significant; each axis is spread through a table, up to 16 bits at a time.
+    The keys are uint32 when their ``d * bits`` bits fit, else uint64.
     """
     d = len(offsets)
     step = max(min(16, 63 // d, bits), 1)
-    table = _spread_table(d, step)
-    keys = np.zeros(len(points), dtype=np.uint64)
+    table = _spread_table(d, step).astype(np.uint32 if d * bits <= 32 else np.uint64)
+    keys = np.zeros(len(points), dtype=table.dtype)
     for start in range(0, len(points), _KEY_ROWS):
         out = keys[start : start + _KEY_ROWS]
         idx = box_indices(grid, points[start : start + _KEY_ROWS])

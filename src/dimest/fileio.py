@@ -202,6 +202,7 @@ def load_points_csv(path) -> PointCloud:
             pass
         else:
             if points.size and np.isfinite(points).all():
+                points.setflags(write=False)  # adopted by the cloud, not copied
                 return PointCloud(points)
     # The reference parser, one line at a time: the only source of errors.
     try:
@@ -230,4 +231,6 @@ def load_points_csv(path) -> PointCloud:
         rows.append(values)
     if not rows:
         raise InputError(f"{path}: no points found")
-    return PointCloud(np.asarray(rows, dtype=float))
+    points = np.asarray(rows, dtype=float)
+    points.setflags(write=False)
+    return PointCloud(points)

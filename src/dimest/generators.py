@@ -39,14 +39,16 @@ __all__ = [
 # Orbit values beyond this magnitude are treated as divergence.
 ESCAPE_RADIUS = 1.0e6
 _BLOCK = 1 << 16  # orbit samples per y fill and escape test
+_MAX_TRANSIENT = 2**31 - 1  # transient iterates an orbit may run: minutes at most
 
 
 @dataclass(frozen=True)
 class HenonParams:
     """Parameters for the quadratic map x' = 1 - a*x^2 + y, y' = b*x.
 
-    ``transient`` iterates are discarded so sampling starts on the attractor;
-    the canonical values a=1.4, b=0.3 produce the classic strange attractor.
+    ``transient`` iterates, at most 2**31 - 1, are discarded so sampling
+    starts on the attractor; the canonical values a=1.4, b=0.3 produce the
+    classic strange attractor.
     """
 
     a: float = 1.4
@@ -62,8 +64,16 @@ class HenonParams:
             raise InputError("seed must be a finite 2-vector")
         if self.transient < 0:
             raise InputError("transient must be non-negative")
+        if self.transient > _MAX_TRANSIENT:
+            raise InputError(f"transient must be at most {_MAX_TRANSIENT}")
         if self.samples < 1:
             raise InputError("samples must be at least 1")
+
+
+def _cloud(points: np.ndarray) -> PointCloud:
+    """The cloud of an array built here and adopted, not copied: no view of it escapes."""
+    points.setflags(write=False)
+    return PointCloud(points)
 
 
 def _check_size(n: int, d: int) -> None:
@@ -105,7 +115,7 @@ def henon_orbit(params: HenonParams) -> PointCloud:
             if not ok.all():
                 step = params.transient + lo + int(ok.argmin()) + 1
                 raise OrbitDivergedError(f"orbit diverged at step {step}")
-    return PointCloud(pts)
+    return _cloud(pts)
 
 
 def cantor_points(level: int, scale: float = 1.0) -> PointCloud:
@@ -126,7 +136,7 @@ def cantor_points(level: int, scale: float = 1.0) -> PointCloud:
         nums = np.concatenate([nums, nums + 2 * 3 ** (level - i)])
     nums.sort()
     # Single correctly-rounded division per point; exact when scale == 3**level.
-    return PointCloud(nums / (3.0**level / float(scale)))
+    return _cloud(nums[:, None] / (3.0**level / float(scale)))
 
 
 @dataclass(frozen=True)
@@ -226,7 +236,7 @@ def ifs_chaos_game(spec: IfsSpec) -> PointCloud:
             point = mat @ point + off
             if n >= spec.transient:
                 out[n - spec.transient] = point
-    return PointCloud(out)
+    return _cloud(out)
 
 
 def sierpinski_spec(samples: int, rng_seed: int = 0, transient: int = 64) -> IfsSpec:
@@ -250,7 +260,7 @@ def uniform_segment(samples: int) -> PointCloud:
         raise InputError("samples must be at least 1")
     _check_size(samples, 2)
     xs = np.linspace(0.0, 1.0, samples)
-    return PointCloud(np.stack([xs, np.zeros(samples)], axis=1))
+    return _cloud(np.stack([xs, np.zeros(samples)], axis=1))
 
 
 def uniform_square(samples: int) -> PointCloud:
@@ -268,4 +278,4 @@ def uniform_square(samples: int) -> PointCloud:
         m += 1
     i = np.arange(samples)  # the largest request first: an impossible size fails at once
     axis = np.linspace(0.0, 1.0, m)
-    return PointCloud(np.stack([axis[i // m], axis[i % m]], axis=1))
+    return _cloud(np.stack([axis[i // m], axis[i % m]], axis=1))

@@ -55,6 +55,9 @@ class PointCloud:
     Stored as an immutable ``(n, d)`` float64 array. A 1-d input array is
     interpreted as ``n`` points in R^1. All coordinates must be finite;
     estimators additionally require the cloud to be non-empty.
+
+    A read-only C-contiguous float64 array that owns its memory (``base is
+    None``) is adopted, not copied; any other input is copied and made read-only.
     """
 
     points: np.ndarray
@@ -67,10 +70,12 @@ class PointCloud:
             raise InputError(f"points must be an (n, d) array, got shape {pts.shape}")
         if pts.shape[1] == 0:
             raise InputError("points must have at least one coordinate per point")
-        if pts.size and not np.all(np.isfinite(pts)):
+        # NaN propagates through min and max: no (n, d) bool array is built.
+        if pts.size and not (np.isfinite(pts.min()) and np.isfinite(pts.max())):
             raise InputError("point cloud has non-finite coordinates")
-        pts = pts.copy()
-        pts.setflags(write=False)
+        if pts.flags.writeable or pts.base is not None or not pts.flags.c_contiguous:
+            pts = pts.copy()
+            pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
     @property

@@ -468,6 +468,17 @@ class TestKeyChunks:
         for anchor in (None, np.full(d, 0.1)):
             assert_scalar_pass_matches(points, ScaleSchedule.dyadic(k_max - 6, k_max), anchor)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_chunk_boundaries_with_32_bit_keys(self, box_indices_calls, d):
+        # In [-1, 1]**d at k = 32 // d - 2 the offset cells need at most
+        # 32 // d bits an axis, so the keys are 32-bit; each chunk is indexed once.
+        points = chunked_cloud(2 * KEY_CHUNK + 1, d)
+        schedule = ScaleSchedule.dyadic(2, 32 // d - 2)
+        count_series(PointCloud(points), schedule)
+        assert box_indices_calls == [schedule.epsilons[-1]] * 3
+        for anchor in (None, np.full(d, 0.1)):
+            assert_scalar_pass_matches(points, schedule, anchor)
+
     def test_scalar_pass_holds_no_index_array_of_the_cloud(self):
         # The keys (8 bytes a point) and their runs set the peak, 3.0 x 8n here;
         # an (n, 2) int64 index array of the cloud, with the columns interleaved
@@ -485,6 +496,58 @@ class TestKeyChunks:
         finally:
             tracemalloc.stop()
         assert peak - base < 3.5 * 8 * n
+
+    def test_scalar_pass_keys_fit_in_32_bits(self):
+        # At k = 14 the orbit's offset cells need 16 bits an axis, so its keys
+        # are 32-bit: with their runs they set a peak of 2.5 x 8n here, which
+        # 64-bit keys take to 3.0 x 8n.
+        n = 2 * 10**5
+        cloud = henon_orbit(HenonParams(samples=n))
+        schedule = ScaleSchedule.dyadic(3, 14)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            count_series(cloud, schedule)
+            entropy_series(cloud, schedule)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 2.75 * 8 * n
+
+
+class TestKeyWidth:
+    """Keys are 32-bit when the offset cells of every axis fit, 64-bit beyond."""
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["fits", "one-bit-more"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "schedule",
+        [ScaleSchedule.dyadic(0, 40), ScaleSchedule.from_epsilons([1.0, 2.0**-40])],
+        ids=["dyadic", "one-shift"],
+    )
+    def test_key_width_boundary_matches_per_scale(self, schedule, d, extra):
+        # At k = 40 the offset cells of the cloud need exactly 32 // d + extra
+        # bits an axis from either anchor: with the bounding-box minimum, 0 to
+        # 0.75 * 2**bits; with the origin, 0.125 to 0.875 * 2**bits. On the
+        # two-scale schedule k = 0 shifts the whole key at once, by 32 bits at
+        # d = 1 and 2.
+        bits = 32 // d + extra
+        rng = np.random.default_rng(bits)
+        points = rng.uniform(0.125, 0.875, size=(3000, d))
+        points[:2] = [[0.125], [0.875]]
+        points[2:40] = points[40:78]  # cells of several points at every scale
+        points *= 2.0 ** (bits - 40)
+        for anchor in (None, np.zeros(d)):
+            expected = per_scale(PointCloud(points), schedule, anchor)
+            cloud = PointCloud(points)
+            counts = count_series(cloud, schedule, anchor).counts
+            entropies = entropy_series(cloud, schedule, anchor).entropy_bits
+            occupied = np.array([h.occupied for h in expected], dtype=np.int64)
+            bits_per_scale = np.array([shannon_entropy(probabilities(h)) for h in expected])
+            assert counts.tobytes() == occupied.tobytes()
+            assert entropies.tobytes() == bits_per_scale.tobytes()
+            assert occupied[0] == 1
 
 
 class TestSharedPass:

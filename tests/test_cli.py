@@ -394,6 +394,16 @@ def _python(*args):
     )
 
 
+def test_huge_transient_fails_at_once(tmp_path):
+    # Unbounded, the orbit would iterate its transient until killed.
+    out = tmp_path / "t.csv"
+    flags = ["generate", "henon", "--transient", "1" + "0" * 30, "--samples", "1"]
+    proc = _python("-m", "dimest.cli", *flags, "--out", str(out))
+    assert proc.returncode == 1
+    assert proc.stderr == "dimest: error: transient must be at most 2147483647\n"
+    assert not out.exists()
+
+
 def test_module_entry_point_runs():
     proc = _python("-m", "dimest.cli", "--version")
     assert proc.returncode == 0

@@ -347,6 +347,28 @@ def test_divergences_skip_loadtxt(tmp_path, loadtxt_calls, text):
     assert loadtxt_calls == []
 
 
+@pytest.mark.parametrize("text, plain", [("1,2\n3,4\n", True), ("1,2\n# c\n3,4\n", False)])
+def test_loaded_points_are_adopted_read_only(tmp_path, monkeypatch, text, plain):
+    # Both reading paths hand the cloud a fresh array, which it keeps uncopied.
+    returned = []
+    original = np.loadtxt
+
+    def spy(*args, **kwargs):
+        returned.append(original(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    path = tmp_path / "case.csv"
+    path.write_text(text)
+    points = load_points_csv(path).points
+    assert points.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert points.base is None and not points.flags.writeable
+    if plain:
+        assert len(returned) == 1 and returned[0] is points
+    else:
+        assert returned == []
+
+
 _TOKENS = [
     "0", "1", "7", ".", "e", "E", "+", "-", ",", " ", "\t", "\n", "\r\n", "\r",
     "#", "\x0b", "\x0c", "\u2028", "\x85", "_", "\u0661", "nan", "inf", "1e999",

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -89,6 +91,27 @@ class TestHenonOrbit:
             HenonParams(transient=-1)
         with pytest.raises(InputError):
             HenonParams(a=float("nan"))
+
+    @pytest.mark.parametrize("transient", [2**31, 10**30])
+    def test_transient_is_bounded(self, transient):
+        # Unbounded, 10**30 iterates would run until the process is killed;
+        # refused, they fail before the orbit starts.
+        with pytest.raises(InputError, match="^transient must be at most 2147483647$"):
+            HenonParams(transient=transient, samples=1)
+        assert HenonParams(transient=2**31 - 1, samples=1).transient == 2**31 - 1
+
+    def test_orbit_holds_its_points_once(self):
+        # The orbit buffer is the cloud's array: the cloud does not copy it.
+        n = 2 * 10**5
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            cloud = henon_orbit(HenonParams(samples=n))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 1.5 * cloud.points.nbytes
 
 
 def _sha256(cloud) -> str:

@@ -29,6 +29,11 @@ finite_floats = st.floats(
 )
 
 
+def read_only(array):
+    array.setflags(write=False)
+    return array
+
+
 class TestPointCloud:
     def test_shapes_and_dim(self):
         cloud = PointCloud(np.array([[0.0, 0.0], [1.0, 2.0]]))
@@ -50,6 +55,56 @@ class TestPointCloud:
         cloud = PointCloud(np.array([[1.0, 2.0]]))
         with pytest.raises(ValueError):
             cloud.points[0, 0] = 3.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, 3, 5])
+    def test_non_finite_message(self, bad, where):
+        points = np.arange(6.0).reshape(3, 2)
+        points.flat[where] = bad
+        points.setflags(write=False)  # an array the cloud would adopt
+        with pytest.raises(InputError, match="^point cloud has non-finite coordinates$"):
+            PointCloud(points)
+
+    def test_writeable_input_is_copied(self):
+        source = np.array([[1.0, 2.0], [3.0, 4.0]])
+        cloud = PointCloud(source)
+        source[0, 0] = 9.0
+        assert cloud.points.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert not np.shares_memory(cloud.points, source)
+
+    def test_read_only_owned_array_is_adopted(self):
+        source = np.array([[1.0, 2.0], [3.0, 4.0]])
+        source.setflags(write=False)
+        assert PointCloud(source).points is source
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: read_only(np.arange(8.0).reshape(4, 2)),  # a view of the arange
+            lambda: read_only(np.arange(8.0).reshape(4, 2).copy())[1:],
+            lambda: read_only(np.arange(12.0).reshape(4, 3).copy())[:, ::2],
+            lambda: read_only(np.asfortranarray(np.arange(8.0).reshape(4, 2))),
+            lambda: np.frombuffer(np.arange(8.0).tobytes()).reshape(4, 2),
+            lambda: np.frombuffer(np.arange(8.0).tobytes()),
+            lambda: read_only(np.arange(8.0, dtype=np.float32).reshape(4, 2)),
+            lambda: read_only(np.arange(8.0, dtype=">f8").reshape(4, 2).copy()),
+            lambda: read_only(np.arange(8).reshape(4, 2).copy()),
+            lambda: [[0.0, 1.0], [2.0, 3.0]],
+        ],
+        ids=[
+            "reshaped", "row-view", "strided", "fortran", "frombuffer", "frombuffer-1d",
+            "float32", "big-endian", "int64", "list",
+        ],
+    )
+    def test_other_inputs_are_copied(self, make):
+        source = make()
+        cloud = PointCloud(source)
+        points = cloud.points
+        assert points.dtype == np.float64 and points.base is None
+        assert points.flags.c_contiguous and not points.flags.writeable
+        assert np.array_equal(points, np.asarray(source, dtype=float).reshape(len(points), -1))
+        if isinstance(source, np.ndarray):
+            assert not np.shares_memory(points, source)
 
 
 class TestBoundingBox:
