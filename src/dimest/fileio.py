@@ -5,10 +5,12 @@ CSV format: UTF-8 text, one point per line, lines ending at any break
 lines, commas separate coordinates, every line has as many of them and each
 is a finite float as ``float()`` reads it. Floats are written with ``repr``,
 so a save/load round trip is bit exact. A file of leading blank and ASCII
-``#`` lines then plain decimal rows, as ``save_points_csv`` writes, is read by
-one ``np.loadtxt`` call, with lines of only spaces and tabs emptied first; any
-other by a line-by-line parser, the only source of error messages. Both paths
-accept exactly the same inputs, bit for bit.
+``#`` lines then plain decimal rows, as ``save_points_csv`` writes, streams
+into one ``np.loadtxt`` call in pieces of 64 KiB cut after a line break, with
+lines of only spaces and tabs emptied first, so no copy of the whole file is
+held. A file with any other byte, found at its first piece that is not plain,
+is read again whole by a line-by-line parser, the only source of error
+messages. Both paths accept exactly the same inputs, bit for bit.
 
 A large save, on two or more usable CPUs, starts one helper interpreter
 (``python -I -S``: isolated, so it reads no ``PYTHON*`` environment variable
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import os
 import re
 import sys
@@ -43,6 +46,13 @@ _PLAIN_BYTES = b"0123456789+-.eE,\r\n \t"
 # A line of only spaces and tabs after a row: np.loadtxt rejects it, the
 # parser skips it, and emptied it is a blank line np.loadtxt skips too.
 _BLANK_ROW = re.compile(rb"([\r\n])[ \t]+(?![^\r\n])")
+# Bytes read at a time from a CSV file or from the helper's output, so that
+# no copy of a whole file is held.
+_PIECE = 1 << 16
+
+
+class _NotPlain(ValueError):
+    """A piece holds a byte np.loadtxt may read otherwise than the line parser."""
 
 # Clouds of fewer coordinates are saved in this process alone. On a 2-vCPU
 # guest the helper starts in about 16 ms and broke even between 2**15 floats
@@ -128,7 +138,7 @@ def _feed(stream, data: np.ndarray) -> None:
 def _copy_helper_rows(helper, handle) -> bool:
     """Append the helper's rows to ``handle``; on failure, take them out again."""
     mark = handle.tell()
-    for chunk in iter(lambda: helper.stdout.read(1 << 20), b""):
+    for chunk in iter(lambda: helper.stdout.read(_PIECE), b""):
         handle.write(chunk.decode("ascii"))
     if helper.wait() == 0:
         return True
@@ -183,27 +193,74 @@ def save_points_csv(cloud: PointCloud, path, comments: Sequence[str] = ()) -> No
         helper.stdout.close()
 
 
-def load_points_csv(path) -> PointCloud:
-    """Parse a point-cloud CSV file; errors name the offending 1-based line."""
+def _pieces(handle):
+    """The handle's bytes, each piece but the last cut after its last b"\\n".
+
+    A ``BytesIO`` splits lines at b"\\n" only: the pieces' lines are the file's.
+    """
+    held = []
+    for chunk in iter(lambda: handle.read(_PIECE), b""):
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            yield b"".join([*held, chunk[:cut]])
+            held = []
+        held.append(chunk[cut:])
+    yield b"".join(held)
+
+
+def _plain_rows(pieces):
+    """Each piece as a ``BytesIO``, whitespace-only rows emptied; ``_NotPlain`` at other bytes."""
+    lookbehind = b""  # no row precedes the first row after the header
+    for piece in pieces:
+        if piece.translate(None, _PLAIN_BYTES):
+            raise _NotPlain
+        # Rows as save_points_csv writes them hold no space or tab to blank.
+        if b" " in piece or b"\t" in piece:
+            piece = _BLANK_ROW.sub(rb"\1", lookbehind + piece)[len(lookbehind) :]
+        lookbehind = piece[-1:]  # b"\n", blanked or not, but for the last piece
+        yield io.BytesIO(piece)
+
+
+def _load_plain(handle) -> np.ndarray | None:
+    """The finite points ``np.loadtxt`` reads from a plain file, else None for the parser."""
+    pieces = _pieces(handle)
+    for piece in pieces:
+        start = _HEADER.match(piece).end()
+        if start < len(piece):
+            break
+    else:  # all header, or empty: the parser says there are no points
+        return None
+    rows = _plain_rows(itertools.chain([piece[start:]], pieces))
     try:
-        data = Path(path).read_bytes()
+        first = next(rows)  # checked before np.loadtxt is called at all
+        lines = itertools.chain(first, itertools.chain.from_iterable(rows))
+        points = np.loadtxt(lines, delimiter=",", ndmin=2)
+    except ValueError:  # _NotPlain too: left to the line parser, which names the line
+        return None
+    # PointCloud's rule: NaN propagates to min and max, with no (n, d) bool array.
+    if not (points.size and np.isfinite(points.min()) and np.isfinite(points.max())):
+        return None
+    points.setflags(write=False)  # adopted by the cloud, not copied
+    return points
+
+
+def load_points_csv(path) -> PointCloud:
+    """Parse a point-cloud CSV file; errors name the offending 1-based line.
+
+    Plain files stream into ``np.loadtxt`` (see the module docstring); a pipe,
+    which cannot be read twice, is held whole.
+    """
+    try:
+        with open(path, "rb") as file:
+            handle = file if file.seekable() else io.BytesIO(file.read())
+            points = _load_plain(handle)
+            if points is None:
+                handle.seek(0)
+                data = handle.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    start = _HEADER.match(data).end()
-    if start < len(data) and not data[start:].translate(None, _PLAIN_BYTES):
-        stream = io.BytesIO(data)
-        stream.seek(start)
-        # Rows as save_points_csv writes them hold no space or tab to blank.
-        if data.find(b" ", start) >= 0 or data.find(b"\t", start) >= 0:
-            stream = io.BytesIO(_BLANK_ROW.sub(rb"\1", data[start:]))
-        try:
-            points = np.loadtxt(stream, delimiter=",", ndmin=2)
-        except ValueError:  # left to the line parser, which names the line
-            pass
-        else:
-            if points.size and np.isfinite(points).all():
-                points.setflags(write=False)  # adopted by the cloud, not copied
-                return PointCloud(points)
+    if points is not None:
+        return PointCloud(points)
     # The reference parser, one line at a time: the only source of errors.
     try:
         text = data.decode("utf-8")

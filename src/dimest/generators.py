@@ -17,6 +17,7 @@ impossible size. The orbit stores x only; numpy adds y per block of samples.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -146,7 +147,8 @@ class IfsSpec:
     Each map is ``x -> matrix @ x + offset`` and must be a contraction in the
     operator 2-norm (checked numerically here). ``probabilities`` are the
     map-selection weights of the chaos game; the selection stream is keyed by
-    ``rng_seed`` so runs are reproducible bit for bit.
+    ``rng_seed`` so runs are reproducible bit for bit. At most 2**31 - 1
+    ``transient`` iterates are discarded before sampling.
     """
 
     maps: tuple
@@ -190,6 +192,8 @@ class IfsSpec:
         start.setflags(write=False)
         if self.transient < 0:
             raise InputError("transient must be non-negative")
+        if self.transient > _MAX_TRANSIENT:
+            raise InputError(f"transient must be at most {_MAX_TRANSIENT}")
         if self.samples < 1:
             raise InputError("samples must be at least 1")
         if self.rng_seed < 0:
@@ -203,6 +207,20 @@ class IfsSpec:
         return self.maps[0][0].shape[0]
 
 
+def _map_choices(spec: IfsSpec):
+    """Lists of the chaos game's map indices, ``_BLOCK`` draws each.
+
+    PCG64 gives the same doubles in blocks as in one draw. Only one block's
+    draws, indices and list of ints are held, whatever the number of iterates.
+    """
+    rng = np.random.default_rng(spec.rng_seed)
+    cum = np.cumsum(spec.probabilities)
+    cum[-1] = np.inf  # the last map takes the draws a rounded total leaves over
+    total = spec.transient + spec.samples
+    for lo in range(0, total, _BLOCK):
+        yield np.searchsorted(cum, rng.random(min(_BLOCK, total - lo)), side="right").tolist()
+
+
 def ifs_chaos_game(spec: IfsSpec) -> PointCloud:
     """Random-iteration sampling of the IFS attractor.
 
@@ -210,20 +228,15 @@ def ifs_chaos_game(spec: IfsSpec) -> PointCloud:
     by ``rng_seed``, then applied sequentially from the seed point. The first
     ``transient`` iterates are discarded.
     """
-    total = spec.transient + spec.samples
-    _check_size(total, spec.dim)  # the draws and the kept points fit in as much
-    rng = np.random.default_rng(spec.rng_seed)
-    cum = np.cumsum(spec.probabilities)
-    choice = np.searchsorted(cum, rng.random(total), side="right")
-    np.minimum(choice, len(spec.maps) - 1, out=choice)
-
     d = spec.dim
+    _check_size(spec.samples, d)
     out = np.empty((spec.samples, d))
+    choice = itertools.chain.from_iterable(_map_choices(spec))
     if d == 2:
         flat = [tuple(m.ravel().tolist() + o.tolist()) for m, o in spec.maps]
         x, y = float(spec.seed[0]), float(spec.seed[1])
         buf = memoryview(out.reshape(-1))
-        for j, i in zip(range(-2 * spec.transient, 2 * spec.samples, 2), choice.tolist()):
+        for j, i in zip(range(-2 * spec.transient, 2 * spec.samples, 2), choice):
             a11, a12, a21, a22, b1, b2 = flat[i]
             x, y = a11 * x + a12 * y + b1, a21 * x + a22 * y + b2
             if j >= 0:

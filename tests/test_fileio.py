@@ -3,17 +3,20 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import os
 import re
 import stat
 import subprocess
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from dimest import InputError, PointCloud, load_points_csv, save_points_csv
+from dimest import InputError, PointCloud, fileio, load_points_csv, save_points_csv
 from dimest.fileio import atomic_write_text, points_to_csv
 
 
@@ -413,6 +416,164 @@ def test_plain_byte_check_agrees_with_the_row_regex(data):
     # the strings the row regex it replaced fully matched.
     regex = re.compile(rb"[0-9+\-.eE,\r\n \t]*")
     assert (not data.translate(None, _PLAIN)) == bool(regex.fullmatch(data))
+
+
+# --- Reader: files streamed into np.loadtxt in pieces -------------------------
+
+
+@contextlib.contextmanager
+def streamed(piece):
+    """Reads in pieces of ``piece`` bytes, with np.loadtxt spied on.
+
+    Yields ``(lines, returned)``: the lines each np.loadtxt call iterated, and
+    the arrays the calls that finished returned.
+    """
+    lines, returned = [], []
+    original = np.loadtxt
+
+    def spy(rows, *args, **kwargs):
+        seen = []
+        lines.append(seen)
+
+        def tap():
+            for line in rows:
+                seen.append(line)
+                yield line
+
+        returned.append(original(tap(), *args, **kwargs))
+        return returned[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fileio, "_PIECE", piece)
+        patch.setattr(np, "loadtxt", spy)
+        yield lines, returned
+
+
+def assert_all_plain(lines):
+    # np.loadtxt never sees a byte it may read otherwise than the line parser.
+    assert all(not line.translate(None, _PLAIN) for call in lines for line in call)
+
+
+@st.composite
+def writer_texts(draw):
+    """What save_points_csv writes, with any comments."""
+    d = draw(st.integers(min_value=1, max_value=3))
+    values = draw(st.lists(finite_floats, max_size=30))
+    points = np.array(values[: len(values) // d * d], dtype=float).reshape(-1, d)
+    return points_to_csv(PointCloud(points), draw(st.lists(st.text(max_size=12), max_size=3)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    text=st.one_of(
+        csv_texts(), writer_texts(), st.lists(st.sampled_from(_TOKENS), max_size=40).map("".join)
+    ),
+    piece=st.integers(min_value=1, max_value=16),
+)
+def test_streamed_reader_matches_reference(tmp_path_factory, text, piece):
+    with streamed(piece) as (lines, _):
+        assert_reads_as_reference(tmp_path_factory.mktemp("piece") / "pts.csv", text)
+    assert_all_plain(lines)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    d=st.integers(min_value=1, max_value=3),
+    values=st.lists(finite_floats, min_size=1, max_size=30),
+    comments=st.lists(st.text(st.characters(min_codepoint=32, max_codepoint=126)), max_size=3),
+    piece=st.integers(min_value=1, max_value=16),
+)
+def test_streamed_writer_output_stays_on_loadtxt(tmp_path_factory, d, values, comments, piece):
+    points = np.array((values * d)[: len(values) * d], dtype=float).reshape(-1, d)
+    path = tmp_path_factory.mktemp("piece") / "pts.csv"
+    save_points_csv(PointCloud(points), path, comments)
+    with streamed(piece) as (lines, returned):
+        got = load_points_csv(path).points
+    assert got.tobytes() == points.tobytes()
+    assert len(lines) == 1 and returned[0] is got  # no piece fell back to the parser
+    assert_all_plain(lines)
+
+
+# (piece size, text, loaded): np.loadtxt reads the file to the end (True), is
+# called and stops early, leaving it to the parser (False), or is never called (None).
+STREAMED_CASES = [
+    # b"\r\n" split across the first read boundary, then across later ones.
+    (4, "1,2\r\n3,4\r\n5,6\r\n", True),
+    (5, "# h\r\n1,2\r\n3,4\r\n", True),
+    # CR-only breaks: no b"\n" to cut at, so the rows stay in one piece,
+    # one line to np.loadtxt, which rejects it as it did the whole file.
+    (4, "1,2\r3,4\r5,6\r", False),
+    (3, "# h\r1,2\r  \r3,4\r", False),
+    # Space-only rows at a boundary, after one, and longer than a piece.
+    (4, "1,2\n  \n3,4\n", True),
+    (5, "1,2\n\t \n3,4\n", True),
+    (2, "1,2\n      \n3,4\n \t", True),
+    (4, "1,2\r\n  \r\n3,4\r\n", True),
+    # A header longer than a piece, and one filling whole pieces.
+    (8, "# a comment longer than a piece\n# and one more\n\n1,2\n", True),
+    (4, "# h\n\n# i\n1,2\n3,4\n", True),
+    (1, "  \n# h\n1.5,-2e-3\n", True),
+    # No trailing newline.
+    (4, "1,2\n3,4\n5,6", True),
+    (16, "1,2\n3,4", True),
+    # Header only.
+    (4, "# only\n# a header\n\n", None),
+    (2, "\n\n\n\n", None),
+    # Not plain in the last of three pieces only: an error, a comment the
+    # parser skips, a row np.loadtxt would read otherwise, a break it ignores.
+    (4, "1,2\n3,4\n5,x\n", False),
+    (4, "1,2\n3,4\n# c\n", False),
+    (4, "1,2\n3,4\n5_0,6\n", False),
+    (4, "1,2\n3,4\n5,6\x0b7,8\n", False),
+    (4, "1,2\n3,4\n5,6 # c\n", False),
+]
+
+
+@pytest.mark.parametrize("piece, text, loaded", STREAMED_CASES)
+def test_streamed_reader_cases(tmp_path, piece, text, loaded):
+    with streamed(piece) as (lines, returned):
+        assert_reads_as_reference(tmp_path / "case.csv", text)
+    assert_all_plain(lines)
+    assert len(returned) == (loaded is True)
+    assert len(lines) == (loaded is not None)
+
+
+def test_large_read_holds_no_copy_of_the_file(tmp_path):
+    # The file is over twice the cloud's bytes, so no copy of it fits in the bound.
+    points = np.random.default_rng(0).random((2 * 10**5, 2))
+    path = tmp_path / "pts.csv"
+    save_points_csv(PointCloud(points), path, ["header"])
+    assert path.stat().st_size > 2 * points.nbytes
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        cloud = load_points_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cloud.points.tobytes() == points.tobytes()
+    assert peak - base < 1.6 * points.nbytes
+
+
+@pytest.mark.parametrize("text", ["# h\n1,2\n3,4\n", "1,2\n3,x\n", "1,2\n# c\n3,4\n"])
+def test_pipe_reads_as_reference(tmp_path, text):
+    # A pipe cannot be read again: it is held whole for the parser.
+    path = tmp_path / "pipe"
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_text, args=(text,), daemon=True)
+    writer.start()
+    try:
+        got = ("points", load_points_csv(path).points.tolist())
+    except InputError as exc:
+        got = ("error", str(exc))
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    try:
+        expected = ("points", reference_parse(text, path).tolist())
+    except InputError as exc:
+        expected = ("error", str(exc))
+    assert got == expected
 
 
 # --- Writer: the helper interpreter of large saves ----------------------------

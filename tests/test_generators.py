@@ -249,6 +249,53 @@ class TestLoopsMatchFrozenCopies:
         )
         assert _outcome(ifs_chaos_game, spec) == _outcome(_frozen_chaos_game_2d, spec)
 
+    # The draws come in blocks of 2**16: iterates that end one past a block,
+    # a transient longer than a block, and samples that end inside the third.
+    @pytest.mark.parametrize(
+        "transient, samples", [(0, 2**16 + 1), (2**16 + 3, 10), (1000, 3 * 2**16 - 5)]
+    )
+    def test_chaos_game_across_draw_blocks(self, transient, samples):
+        spec = sierpinski_spec(samples, rng_seed=7, transient=transient)
+        assert _outcome(ifs_chaos_game, spec) == _outcome(_frozen_chaos_game_2d, spec)
+
+    def test_generic_dimension_across_draw_blocks(self):
+        # The 1-D Cantor maps, with the samples starting 2 iterates before a block ends.
+        third = np.array([[1.0 / 3.0]])
+        spec = IfsSpec(
+            maps=((third, np.array([0.0])), (third, np.array([2.0 / 3.0]))),
+            probabilities=(0.5, 0.5),
+            seed=(0.0,),
+            transient=2**16 - 2,
+            samples=5,
+            rng_seed=3,
+        )
+        point, expected = np.zeros(1), []
+        for n, u in enumerate(np.random.default_rng(3).random(2**16 + 3)):
+            mat, off = spec.maps[int(u >= 0.5)]
+            point = mat @ point + off
+            if n >= spec.transient:
+                expected.append(point)
+        assert ifs_chaos_game(spec).points.tobytes() == np.array(expected).tobytes()
+
+    def test_draws_past_the_rounded_total_take_the_last_map(self, monkeypatch):
+        # Ten weights of 0.1 sum to 1 - 2**-53 in floats, so a draw can fall
+        # at or past the total; that draw selects the last map, even one of
+        # weight zero.
+        below_one = np.nextafter(1.0, 0.0)
+
+        class Draws:
+            def random(self, size):
+                return np.resize([0.0, 0.95, below_one, 0.35, 0.99], size)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Draws())
+        half = np.eye(2) * 0.25
+        maps = tuple((half, np.array([float(i), -float(i)])) for i in range(11))
+        spec = IfsSpec(
+            maps=maps, probabilities=(0.1,) * 10 + (0.0,), seed=(0.5, 0.5), transient=3, samples=20
+        )
+        assert np.cumsum(spec.probabilities)[-1] <= below_one
+        assert _outcome(ifs_chaos_game, spec) == _outcome(_frozen_chaos_game_2d, spec)
+
 
 class TestCantorPoints:
     def test_level_one(self):
@@ -338,6 +385,25 @@ class TestChaosGame:
         )
         cloud = ifs_chaos_game(spec)
         assert np.allclose(cloud.points, [1.0, 0.0, 0.5], atol=1e-12)
+
+    @pytest.mark.parametrize("transient", [2**31, 10**30])
+    def test_transient_is_bounded(self, transient):
+        # The draws come in blocks, so no allocation would refuse 10**30 iterates.
+        with pytest.raises(InputError, match="^transient must be at most 2147483647$"):
+            sierpinski_spec(1, transient=transient)
+        assert sierpinski_spec(1, transient=2**31 - 1).transient == 2**31 - 1
+
+    def test_chaos_game_holds_one_block_of_draws(self):
+        # 8 bytes per iterate, held for every iterate, would add half the cloud's bytes.
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            cloud = ifs_chaos_game(sierpinski_spec(2 * 10**5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 1.5 * cloud.points.nbytes
 
     def test_non_contraction_rejected(self):
         with pytest.raises(InputError, match="not a contraction"):
