@@ -8,6 +8,7 @@ import os
 import re
 import stat
 import subprocess
+import tempfile
 import threading
 import tracemalloc
 
@@ -16,7 +17,15 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from dimest import InputError, PointCloud, fileio, load_points_csv, save_points_csv
+from dimest import (
+    HenonParams,
+    InputError,
+    PointCloud,
+    fileio,
+    henon_orbit,
+    load_points_csv,
+    save_points_csv,
+)
 from dimest.fileio import atomic_write_text, points_to_csv
 
 
@@ -754,4 +763,43 @@ def test_interrupted_save_leaves_target_and_no_process(tmp_path, monkeypatch, er
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert target.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["pts.csv"]
+
+
+@pytest.mark.parametrize("helper", ["one cpu", "no process"])
+def test_save_holds_no_text_of_the_whole_cloud(tmp_path, monkeypatch, helper):
+    # Every save writes its rows in chunks, with or without a helper: the file's
+    # text is over twice the cloud's bytes, so no copy of it fits in the bound.
+    def no_process(*args, **kwargs):
+        raise OSError("no process for you")
+
+    cloud = henon_orbit(HenonParams(samples=2 * 10**5))
+    cpus = {0} if helper == "one cpu" else {0, 1}
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    monkeypatch.setattr(subprocess, "Popen", no_process)
+    path = tmp_path / "pts.csv"
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        save_points_csv(cloud, path, ["header"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 2 * cloud.points.nbytes
+    assert peak - base < 1.0 * cloud.points.nbytes
+    assert_saved_as(path, points_to_csv(cloud, ["header"]))
+
+
+def test_helper_feed_ignores_the_temp_dir_environment(tmp_path, monkeypatch):
+    # The helper's input goes to an unnamed file beside the output, wherever
+    # TMPDIR and tempfile.tempdir point.
+    missing = str(tmp_path / "missing")
+    monkeypatch.setattr(tempfile, "tempdir", missing)
+    monkeypatch.setenv("TMPDIR", missing)
+    cloud = PointCloud(helper_sized_cloud(2, seed=2))
+    with helper_spy() as started:
+        save_points_csv(cloud, tmp_path / "pts.csv", ["c"])
+    assert_helper_ran(started)
+    assert_saved_as(tmp_path / "pts.csv", points_to_csv(cloud, ["c"]))
     assert [p.name for p in tmp_path.iterdir()] == ["pts.csv"]
