@@ -46,7 +46,8 @@ finer one's cells (``np.add.reduceat``) without another sort. A key holds
 histograms are, from an index array freed after the finest merge, and the
 keys of the coarser scales are then built from the points again. Other
 schedules, negative k among them (where ``y / 2**-k`` can round a tiny
-negative ``y`` to -0.0), index every scale.
+negative ``y`` to -0.0), count each scale in a one-scale pass, which shifts
+nothing; their histograms index every scale.
 
 Each scale's count n(eps) and entropy S(eps) (``occupancy_entropy``) are
 taken as the pass reaches it, and each cloud keeps only these scalars of its
@@ -96,10 +97,6 @@ _TREES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 # counts and entropies, and its histograms once occupancy_series asked for
 # them; freed with the cloud.
 _PASSES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-# Packed keys spanning at most this many cells are tallied in a dense array
-# (8 MB of int64) rather than sorted.
-_DENSE_CELLS = 1 << 20
 
 # Points indexed at a time while their Z-order keys are built; a chunk's
 # temporaries take a few MB. On a 10**6-point Henon orbit at dyadic(3, 14)
@@ -202,7 +199,8 @@ def _unique_index_counts(idx: np.ndarray, weights=None) -> tuple[np.ndarray, np.
 
     A row counts ``weights[i]`` when given, else 1; sums are exact int64.
     Packs rows into mixed-radix scalar keys when the index spans allow it,
-    which is much faster than row-wise unique and bit-identical to it.
+    which is much faster than row-wise unique and bit-identical to it. Keys
+    spanning no more cells than there are rows are tallied densely, else sorted.
     """
     # Column by column: numpy reduces an (n, d) array along axis 0, and
     # broadcasts over its rows, an order of magnitude slower.
@@ -224,8 +222,9 @@ def _unique_index_counts(idx: np.ndarray, weights=None) -> tuple[np.ndarray, np.
         return np.stack(cols, axis=1), counts
     keys = cols[0] - lo[0]  # C-order mixed-radix packing, as np.ravel_multi_index
     for col, low, size in zip(cols[1:], lo[1:], dims[1:]):
-        keys = keys * size + (col - low)
-    if capacity <= _DENSE_CELLS:
+        keys *= size  # in place: only col - low is a temporary of the keys' size
+        keys += col - low
+    if capacity <= len(keys):
         tally = np.zeros(capacity, dtype=np.int64)
         np.add.at(tally, keys, 1 if weights is None else weights)
         ukeys = np.flatnonzero(tally)
@@ -399,11 +398,15 @@ def _dyadic_scales(cloud: PointCloud, resolved: np.ndarray, schedule: ScaleSched
         yield i, counts, None
 
 
-def _each_scale(cloud: PointCloud, resolved: np.ndarray, epsilons: np.ndarray):
-    """(scale number, cell counts, index rows) of each scale counted from the points."""
+def _each_scale(cloud: PointCloud, resolved: np.ndarray, epsilons: np.ndarray, rows: bool):
+    """(scale number, cell counts, index rows or None) of each scale counted from the points."""
     for i, eps in enumerate(epsilons):
-        hist = count_boxes(cloud, GridSpec(resolved, eps))[1]
-        yield i, hist.counts, hist.indices
+        if rows:
+            hist = count_boxes(cloud, GridSpec(resolved, eps))[1]
+            yield i, hist.counts, hist.indices
+        else:  # a one-scale pass on chunked keys, which shifts nothing
+            one = ScaleSchedule([eps], [0.0])
+            yield i, next(_dyadic_scales(cloud, resolved, one, False))[1], None
 
 
 def _occupancy(cloud: PointCloud, schedule: ScaleSchedule, resolved: np.ndarray, histograms: bool):
@@ -424,7 +427,7 @@ def _occupancy(cloud: PointCloud, schedule: ScaleSchedule, resolved: np.ndarray,
     if np.all(ks == np.floor(ks)) and np.all(ks >= 0) and np.array_equal(epsilons, 2.0**-ks):
         scales = _dyadic_scales(cloud, resolved, schedule, histograms)
     else:
-        scales = _each_scale(cloud, resolved, epsilons)
+        scales = _each_scale(cloud, resolved, epsilons, histograms)
     n = len(schedule)
     counts, bits, hists = np.empty(n, dtype=np.int64), np.empty(n), [None] * n
     for i, cell_counts, cells in scales:
@@ -446,9 +449,9 @@ def occupancy_series(
     rows from the finer one's; other schedules count each scale from the
     points in turn (see the module docstring). Both give the histograms of
     :func:`count_boxes` bit for bit. Only this histogram path holds an
-    ``(n, d)`` index array of the whole cloud on a dyadic schedule whose
-    spans fit a Z-order key: ``count_series`` and ``entropy_series`` build
-    their keys a chunk of points at a time.
+    ``(n, d)`` index array of the whole cloud on any schedule whose spans
+    fit a Z-order key: ``count_series`` and ``entropy_series`` build their
+    keys a chunk of points at a time, one scale at a time on other schedules.
 
     The histograms are kept with the counts and entropies while the cloud
     lives, so a second call with the same resolved anchor and schedule
@@ -600,7 +603,8 @@ def volume_estimate(cloud: PointCloud, epsilon: float) -> VolumeEstimate:
     # Bitmaps hold 4**d fine cells a near row, and an empty last row that stands
     # for missing neighbors.
     links = [[np.append(rows_of(near + s * e), n) for s in (-1, 1)] for e in np.eye(d, dtype=int)]
-    seeds = np.ravel_multi_index((rows_of(occupied >> 2), *(occupied & 3).T), (n + 1,) + (4,) * d)
+    seed_rows = np.searchsorted(keys, pack(occupied >> 2))  # all occupied cells are in near
+    seeds = np.ravel_multi_index((seed_rows, *(occupied & 3).T), (n + 1,) + (4,) * d)
     seeds = seeds.astype(np.int32)  # a bitmap holds under 2**31 cells
     del occupied  # the seeds stand for it from here on
 
@@ -658,6 +662,7 @@ def volume_estimate(cloud: PointCloud, epsilon: float) -> VolumeEstimate:
     marked = int(np.count_nonzero(sure))
     sure = np.packbits(sure.reshape(n + 1, -1), axis=1)
     reach = dilate(outer)
+    del dilate  # it calls itself: a cycle holding links and seeds until a collection
 
     tree = _TREES.get(cloud)
     if tree is None:

@@ -32,6 +32,8 @@ __all__ = [
 # Indices beyond this magnitude would be unsafe to cast to int64.
 _INDEX_LIMIT = 2.0**62
 
+_INDEX_ROWS = 1 << 16  # points box_indices scales at a time, a float64 block
+
 # The bounding box of each cloud, freed with it: a cloud is immutable and
 # hashed by identity, so its box cannot be outdated.
 _BOXES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -173,20 +175,23 @@ def box_indices(grid: GridSpec, points: np.ndarray) -> np.ndarray:
         raise InputError(
             f"points of dimension {pts.shape[-1]} do not match grid dimension {grid.dim}"
         )
-    # Column by column, then in place: broadcasting the anchor over the rows
-    # is several times slower. The points are checked for non-finite values
-    # only when an index is out of range, as a non-finite point makes it.
-    scaled = np.empty(pts.shape)
+    # A block of rows at a time (no float64 twin of the result), column by column
+    # and in place: broadcasting the anchor over the rows is several times slower.
+    # All points are checked for non-finite values only when an index is out of range.
+    out = np.empty(pts.shape, dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore"):
-        for axis, col in enumerate(pts.T):
-            np.subtract(col, grid.anchor[axis], out=scaled[:, axis])
-        scaled /= grid.epsilon
-        np.floor(scaled, out=scaled)
-        if scaled.size and not (-_INDEX_LIMIT < scaled.min() and scaled.max() < _INDEX_LIMIT):
-            if not np.all(np.isfinite(pts)):
-                raise InputError("points have non-finite coordinates")
-            raise InputError("box index overflow: epsilon too small for coordinate range")
-    return scaled.astype(np.int64)
+        for start in range(0, len(pts), _INDEX_ROWS):
+            block = np.empty(pts[start : start + _INDEX_ROWS].shape)
+            for axis, col in enumerate(pts[start : start + _INDEX_ROWS].T):
+                np.subtract(col, grid.anchor[axis], out=block[:, axis])
+            block /= grid.epsilon
+            np.floor(block, out=block)
+            if block.size and not (-_INDEX_LIMIT < block.min() and block.max() < _INDEX_LIMIT):
+                if not np.all(np.isfinite(pts)):
+                    raise InputError("points have non-finite coordinates")
+                raise InputError("box index overflow: epsilon too small for coordinate range")
+            out[start : start + len(block)] = block
+    return out
 
 
 @dataclass(frozen=True, eq=False)

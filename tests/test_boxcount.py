@@ -11,7 +11,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 import scipy.spatial
 from scipy.spatial import cKDTree
@@ -98,15 +98,31 @@ class TestUniqueIndexCounts:
         return hist.indices, hist.counts
 
     def test_matches_numpy_unique_rows(self):
-        # 100**3 cells are tallied densely; 400**3, over 2**20, are sorted as keys.
+        # Keys are tallied densely only when they span no more cells than
+        # there are rows: 10**3 cells for the 2,667 rows are; 100**3 and
+        # 400**3 are sorted.
         rng = np.random.default_rng(9)
-        for half in (50, 200):
+        for half in (5, 50, 200):
             idx = rng.integers(-half, half, size=(2000, 3)).astype(np.int64)
             idx = np.concatenate([idx, idx[::3]])
             rows, counts = self.unit_grid_histogram(idx)
             expect_rows, expect_counts = np.unique(idx, axis=0, return_counts=True)
             assert np.array_equal(rows, expect_rows)
             assert np.array_equal(counts, expect_counts)
+
+    def test_weighted_merges_tally_and_sort(self):
+        # A dyadic merge tallies each coarser scale's cells weighted by the
+        # finer scale's counts: densely where that scale spans no more cells
+        # than the finer one occupies (k = 0..6 here), by sorting where it
+        # spans more (k = 7..11).
+        cloud = PointCloud(np.random.default_rng(4).uniform(0.0, 1.0, size=(5000, 2)))
+        schedule = ScaleSchedule.dyadic(0, 12)
+        got = occupancy_series(cloud, schedule)
+        assert_same_histograms(got, per_scale(cloud, schedule))
+        spans = [math.prod(np.ptp(h.indices, axis=0) + 1) for h in got[:-1]]
+        finer = [h.occupied for h in got[1:]]
+        dense = [span <= rows for span, rows in zip(spans, finer)]
+        assert any(dense) and not all(dense)
 
     def test_wide_span_fallback(self):
         # Spans whose product exceeds the packing capacity use the row path.
@@ -244,15 +260,10 @@ def count_boxes_calls(monkeypatch):
     return calls
 
 
-@st.composite
-def dyadic_cases(draw):
-    """A cloud (d = 1..3, duplicates, tiny or plain scale), anchor and dyadic schedule.
-
-    At unit 2**-24 the finest scales of k up to 70 span up to 2**49 cells, too
-    wide for a Z-order key at d = 2 and 3, yet never overflow.
-    """
+def draw_cloud_and_anchor(draw, units):
+    """A cloud (d = 1..3, duplicates) of coordinates in [-8, 8] * unit, and an anchor."""
     d = draw(st.integers(min_value=1, max_value=3))
-    unit = draw(st.sampled_from([1.0, 2.0**-24, 2.0**-40, 1e-300]))
+    unit = draw(st.sampled_from(units))
     coord = st.floats(min_value=-8, max_value=8, allow_nan=False).map(lambda v: v * unit)
     points = draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=1, max_size=30))
     points += [points[i] for i in draw(st.lists(st.integers(0, len(points) - 1), max_size=10))]
@@ -268,11 +279,42 @@ def dyadic_cases(draw):
             ]
         )
     )
+    return cloud, anchor
+
+
+@st.composite
+def dyadic_cases(draw):
+    """A cloud (d = 1..3, duplicates, tiny or plain scale), anchor and dyadic schedule.
+
+    At unit 2**-24 the finest scales of k up to 70 span up to 2**49 cells, too
+    wide for a Z-order key at d = 2 and 3, yet never overflow.
+    """
+    cloud, anchor = draw_cloud_and_anchor(draw, [1.0, 2.0**-24, 2.0**-40, 1e-300])
     ks = sorted(draw(st.sets(st.integers(min_value=0, max_value=70), min_size=1, max_size=6)))
     if draw(st.booleans()):
         schedule = ScaleSchedule.dyadic(ks[0], ks[-1])
     else:
         schedule = ScaleSchedule.from_epsilons([2.0**-k for k in ks])
+    return cloud, anchor, schedule
+
+
+@st.composite
+def explicit_cases(draw):
+    """A cloud (d = 1..3, duplicates, 1e-30 to 1e30 in scale), anchor and explicit schedule.
+
+    The scales are ``2**-k`` for real k in -6..70, times 1 or the cloud's
+    largest coordinate: non-integer k, epsilons above 1, and at unit 2**-24
+    (d = 2, 3) spans of up to 2**50 cells, too wide for a Z-order key, which
+    are counted from an index array. At unit 1e30 and small scales the
+    indices overflow, and both paths must raise the same error.
+    """
+    cloud, anchor = draw_cloud_and_anchor(draw, [1.0, 2.0**-24, 1e-30, 1e30])
+    unit = draw(st.sampled_from([1.0, float(np.abs(cloud.points).max()) or 1.0]))
+    ks = draw(st.sets(st.floats(min_value=-6, max_value=70), min_size=1, max_size=6))
+    epsilons = np.unique([unit * 2.0**-k for k in ks])[::-1]
+    schedule = ScaleSchedule.from_epsilons(epsilons)
+    ks = schedule.ks  # not dyadic: integer k >= 0 with epsilon 2**-k throughout
+    assume(not (np.all(ks == np.floor(ks)) and np.all(ks >= 0) and np.all(epsilons == 2.0**-ks)))
     return cloud, anchor, schedule
 
 
@@ -358,7 +400,48 @@ class TestDyadicHierarchy:
             assert hist.counts.tolist() == [1]
 
 
+# Points whose Z-order keys are built together; the tests below size their
+# clouds around it rather than patch it.
+KEY_CHUNK = 2**16
+
+
+def chunked_cloud(n: int, d: int) -> np.ndarray:
+    """n points in [-1, 1]**d; each chunk's first row repeats the row before it."""
+    points = np.random.default_rng(n + d).uniform(-1.0, 1.0, size=(n, d))
+    points[KEY_CHUNK::KEY_CHUNK] = points[KEY_CHUNK - 1 : -1 : KEY_CHUNK]
+    if n > 1:
+        points[-1] = points[0]
+    return points
+
+
+def assert_scalar_pass_matches(points, schedule, anchor):
+    expected = per_scale(PointCloud(points), schedule, anchor)
+    cloud = PointCloud(points)
+    counts = count_series(cloud, schedule, anchor).counts
+    bits = entropy_series(cloud, schedule, anchor).entropy_bits
+    occupied = np.array([h.occupied for h in expected], dtype=np.int64)
+    assert counts.tobytes() == occupied.tobytes()
+    assert bits.tobytes() == np.array([shannon_entropy(probabilities(h)) for h in expected]).tobytes()
+    assert_same_histograms(occupancy_series(PointCloud(points), schedule, anchor), expected)
+
+
 SHARED_SCHEDULES = [ScaleSchedule.dyadic(2, 9), ScaleSchedule.from_epsilons([0.3, 0.2, 0.1])]
+
+
+def assert_scalars_match_per_scale(cloud, anchor, schedule):
+    """count_series and entropy_series give per_scale's counts and entropy bytes, or its error."""
+    try:
+        expected = per_scale(cloud, schedule, anchor)
+    except InputError as exc:
+        with pytest.raises(InputError, match=f"^{re.escape(str(exc))}$"):
+            count_series(cloud, schedule, anchor)
+        return
+    counts = count_series(cloud, schedule, anchor)
+    entropies = entropy_series(cloud, schedule, anchor)
+    occupied = [h.occupied for h in expected]
+    bits = np.array([shannon_entropy(probabilities(h)) for h in expected])
+    assert counts.counts.tolist() == entropies.occupied.tolist() == occupied
+    assert entropies.entropy_bits.tobytes() == bits.tobytes()
 
 
 class TestScalarPass:
@@ -367,19 +450,24 @@ class TestScalarPass:
     @settings(max_examples=300, deadline=None)
     @given(case=dyadic_cases())
     def test_counts_and_entropy_match_per_scale(self, case):
-        cloud, anchor, schedule = case
-        try:
-            expected = per_scale(cloud, schedule, anchor)
-        except InputError as exc:
-            with pytest.raises(InputError, match=f"^{re.escape(str(exc))}$"):
-                count_series(cloud, schedule, anchor)
-            return
-        counts = count_series(cloud, schedule, anchor)
-        entropies = entropy_series(cloud, schedule, anchor)
-        occupied = [h.occupied for h in expected]
-        bits = np.array([shannon_entropy(probabilities(h)) for h in expected])
-        assert counts.counts.tolist() == entropies.occupied.tolist() == occupied
-        assert entropies.entropy_bits.tobytes() == bits.tobytes()
+        assert_scalars_match_per_scale(*case)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=explicit_cases())
+    def test_explicit_counts_and_entropy_match_per_scale(self, case):
+        # Each scale is a one-scale pass of the keys, or of an index array
+        # where the span is too wide for a key.
+        assert_scalars_match_per_scale(*case)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [KEY_CHUNK - 1, KEY_CHUNK, KEY_CHUNK + 1])
+    def test_explicit_chunk_boundaries_match_per_scale(self, n, d):
+        # 3.0 is k < 0; at 0.75 * 2**-40 the cloud spans 2**41.4 cells an axis,
+        # too wide for a key at d = 2 and 3.
+        schedule = ScaleSchedule.from_epsilons([3.0, 0.3, 0.01, 0.75 * 2.0**-40])
+        points = chunked_cloud(n, d)
+        for anchor in (None, np.full(d, 0.1)):
+            assert_scalar_pass_matches(points, schedule, anchor)
 
     @pytest.mark.parametrize(
         "d, bits",
@@ -422,31 +510,6 @@ class TestScalarPass:
         entropy_series(cloud, schedule)
         assert all(a is b for a, b in zip(occupancy_series(cloud, schedule), hists))
         assert len(box_indices_calls) == 2
-
-
-# Points whose Z-order keys are built together; the tests below size their
-# clouds around it rather than patch it.
-KEY_CHUNK = 2**16
-
-
-def chunked_cloud(n: int, d: int) -> np.ndarray:
-    """n points in [-1, 1]**d; each chunk's first row repeats the row before it."""
-    points = np.random.default_rng(n + d).uniform(-1.0, 1.0, size=(n, d))
-    points[KEY_CHUNK::KEY_CHUNK] = points[KEY_CHUNK - 1 : -1 : KEY_CHUNK]
-    if n > 1:
-        points[-1] = points[0]
-    return points
-
-
-def assert_scalar_pass_matches(points, schedule, anchor):
-    expected = per_scale(PointCloud(points), schedule, anchor)
-    cloud = PointCloud(points)
-    counts = count_series(cloud, schedule, anchor).counts
-    bits = entropy_series(cloud, schedule, anchor).entropy_bits
-    occupied = np.array([h.occupied for h in expected], dtype=np.int64)
-    assert counts.tobytes() == occupied.tobytes()
-    assert bits.tobytes() == np.array([shannon_entropy(probabilities(h)) for h in expected]).tobytes()
-    assert_same_histograms(occupancy_series(PointCloud(points), schedule, anchor), expected)
 
 
 class TestKeyChunks:
