@@ -22,6 +22,7 @@ from .boxcount import (
     occupancy_series,
     volume_dimension,
     volume_estimate,
+    volume_estimates,
 )
 from .errors import (
     DegenerateFitError,
@@ -111,4 +112,5 @@ __all__ = [
     "uniform_square",
     "volume_dimension",
     "volume_estimate",
+    "volume_estimates",
 ]

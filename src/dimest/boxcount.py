@@ -7,9 +7,11 @@ Two independent routes to the same dimension:
 * estimate the d-volume of the epsilon-neighborhood of the cloud by marking
   fine-grid cells whose centers lie within epsilon of a point; only cells
   next to occupied ones are examined, so the cost follows the occupied cells,
-  up to ``VOLUME_MAX_CELLS`` (``volume_estimate`` / ``volume_dimension``).
-  Euclidean stencils around the occupied fine cells settle most of them; only
-  the ring the stencils leave undecided is queried on a KD-tree.
+  up to ``VOLUME_MAX_CELLS`` (``volume_estimate`` / ``volume_estimates`` /
+  ``volume_dimension``). Euclidean stencils around the occupied fine cells
+  settle most of them; only the ring the stencils leave undecided is queried
+  on a KD-tree. The tree is built on the calling thread; the ring is queried
+  mostly on one worker thread, while the next scale's bitmaps are built.
 
 For a set of dimension s in R^d the occupied count grows like eps**-s while
 the neighborhood volume shrinks like eps**(d-s), so the two estimators agree
@@ -60,6 +62,7 @@ from __future__ import annotations
 
 import math
 import weakref
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +82,7 @@ __all__ = [
     "occupancy_series",
     "count_series",
     "volume_estimate",
+    "volume_estimates",
     "volume_dimension",
 ]
 
@@ -545,12 +549,85 @@ def volume_estimate(cloud: PointCloud, epsilon: float) -> VolumeEstimate:
     extend one chain. At most three bitmaps are live: the sure cells wait 8
     to a byte while the reach is dilated.
 
-    The one KD-tree per cloud, built on first use, is unbalanced with loose
-    node boxes, the cheaper build. ``dist <= epsilon`` depends only on per-pair
-    distances, alike in any tree: the bound epsilon * (1 + 1e-12) keeps a pair
-    at exactly epsilon, and a node is pruned only if its lower bound, off by
-    rounding far under that slack, exceeds the bound or the best pair found. So
-    trees differ only if a best pair a rounding error past epsilon hides one within it.
+    The one KD-tree per cloud is unbalanced with loose node boxes, the cheaper
+    build. ``dist <= epsilon`` depends only on per-pair distances, alike in any
+    tree: the bound epsilon * (1 + 1e-12) keeps a pair at exactly epsilon, and
+    a node is pruned only if its lower bound, off by rounding far under that
+    slack, exceeds the bound or the best pair found. So trees differ only if a
+    best pair a rounding error past epsilon hides one within it. The tree is
+    built on the calling thread, on first use, once the first scale's bitmaps
+    are built; the ring is queried on it a block at a time, mostly on one
+    worker thread (:func:`volume_estimates`).
+    """
+    return volume_estimates(cloud, [epsilon])[0]
+
+
+def volume_estimates(cloud: PointCloud, epsilons: Iterable[float]) -> list[VolumeEstimate]:
+    """:func:`volume_estimate` at each epsilon, in order, the same volumes.
+
+    The calling thread checks each scale and builds its bitmaps, where the
+    serial loop would raise the same InputError, and hands each block of the
+    ring's centers, 2**16 fine cells at most, to one worker thread, which only
+    queries the KD-tree (releasing the GIL) and counts the marked centers.
+    So the queries of one scale run while the next scale's bitmaps are built.
+    At most two blocks are live: a block waits for the worker's last one to
+    end, except on the last scale, which has no bitmaps left to build; there
+    the calling thread queries a block itself while the worker is busy. Errors
+    surface in scale order, and the worker ends before the call returns.
+    """
+    scales = []  # per scale: [epsilon, fine step h, marked cells]
+    pending = None  # (scale number, future) of the block on the worker
+    tree = pool = None
+
+    def count(centers, eps):  # the worker's task: no traced dimest function
+        dist, _ = tree.query(centers, k=1, distance_upper_bound=eps * (1 + 1e-12))
+        return int(np.count_nonzero(dist <= eps))
+
+    def collect():  # waits for the worker's block, if any, and adds its count
+        nonlocal pending
+        if pending is not None:
+            (i, future), pending = pending, None
+            scales[i][2] += future.result()
+
+    epsilons = list(epsilons)
+    try:
+        for i, epsilon in enumerate(epsilons):
+            ring = _volume_ring(cloud, epsilon)
+            scales.append(list(next(ring)))  # checks the scale, counts its sure cells
+            if pool is None:
+                tree = _TREES.get(cloud)
+                if tree is None:  # imported here, so that importing dimest loads no scipy
+                    from scipy.spatial import cKDTree
+
+                    tree = cKDTree(cloud.points, balanced_tree=False, compact_nodes=False)
+                    _TREES[cloud] = tree
+                from concurrent.futures import ThreadPoolExecutor  # scipy.spatial loads it too
+
+                pool = ThreadPoolExecutor(1, thread_name_prefix="dimest-volume")
+            last, eps = i == len(epsilons) - 1, scales[i][0]
+            for centers in ring:
+                if last and pending is not None and not pending[1].done():
+                    scales[i][2] += count(centers, eps)  # no bitmap left to build
+                else:
+                    collect()
+                    pending = i, pool.submit(count, centers, eps)
+                centers = None  # the next block is built beside the worker's alone
+        collect()
+    except BaseException:
+        collect()  # an earlier block's error surfaces first
+        raise
+    finally:
+        if pool is not None:
+            pool.shutdown()
+    d = cloud.dim
+    return [VolumeEstimate(eps, n * h**d, h, d) for eps, h, n in scales]
+
+
+def _volume_ring(cloud: PointCloud, epsilon: float):
+    """Checks one scale of :func:`volume_estimate` and marks its sure cells.
+
+    Yields ``(epsilon, h, sure cells)``, then the centers of the ring's fine cells
+    inside the grid, as ``(m, d)`` arrays of 2**16 cells at most.
     """
     if len(cloud) == 0:
         raise InputError("empty point set")
@@ -589,24 +666,30 @@ def volume_estimate(cloud: PointCloud, epsilon: float) -> VolumeEstimate:
     # Key near cells by their ranks among near's values on each axis, packed:
     # lexicographic, as near is, and under the budget below len(near)**d <= 2**57.
     axes = [np.unique(col) for col in near.T]
+    sizes = [len(vals) for vals in axes]
+    ranks = [np.searchsorted(vals, col) for col, vals in zip(near.T, axes)]
+    n, keys = len(near), np.ravel_multi_index(ranks, sizes)
 
-    def pack(cells):
-        ranks = [np.searchsorted(vals, col) for col, vals in zip(cells.T, axes)]
-        return np.ravel_multi_index(ranks, [len(vals) for vals in axes], mode="clip")
-
-    n, keys = len(near), pack(near)
-
-    def rows_of(cells):  # the rows of near holding cells, n where it has none
-        row = np.searchsorted(keys, pack(cells)).clip(max=n - 1)
-        return np.where((near[row] == cells).all(axis=1), row, n).astype(np.int32)
+    def neighbors(axis, step):
+        # The rows of near a step along the axis, n where it has none. The step
+        # moves only this axis's rank, by one if near has the value, and so the
+        # key by the axis's stride.
+        vals, rank = axes[axis], ranks[axis] + step
+        rank.clip(0, len(vals) - 1, out=rank)
+        found = vals[rank] == near[:, axis] + step
+        target = keys + step * math.prod(sizes[axis + 1 :])
+        row = np.searchsorted(keys, target).clip(max=n - 1)
+        found &= keys[row] == target
+        return np.where(found, row, n).astype(np.int32)
 
     # Bitmaps hold 4**d fine cells a near row, and an empty last row that stands
     # for missing neighbors.
-    links = [[np.append(rows_of(near + s * e), n) for s in (-1, 1)] for e in np.eye(d, dtype=int)]
-    seed_rows = np.searchsorted(keys, pack(occupied >> 2))  # all occupied cells are in near
+    links = [[np.append(neighbors(axis, s), n) for s in (-1, 1)] for axis in range(d)]
+    coarse = [np.searchsorted(vals, col) for col, vals in zip((occupied >> 2).T, axes)]
+    seed_rows = np.searchsorted(keys, np.ravel_multi_index(coarse, sizes))  # all are in near
     seeds = np.ravel_multi_index((seed_rows, *(occupied & 3).T), (n + 1,) + (4,) * d)
     seeds = seeds.astype(np.int32)  # a bitmap holds under 2**31 cells
-    del occupied  # the seeds stand for it from here on
+    del occupied, ranks, keys  # the links and seeds stand for them from here on
 
     def seeded():
         bits = np.zeros((n + 1,) + (4,) * d, dtype=bool)
@@ -663,11 +746,8 @@ def volume_estimate(cloud: PointCloud, epsilon: float) -> VolumeEstimate:
     sure = np.packbits(sure.reshape(n + 1, -1), axis=1)
     reach = dilate(outer)
     del dilate  # it calls itself: a cycle holding links and seeds until a collection
+    yield eps, h, marked
 
-    tree = _TREES.get(cloud)
-    if tree is None:
-        from scipy.spatial import cKDTree  # here, so that importing dimest loads no scipy
-        tree = _TREES[cloud] = cKDTree(cloud.points, balanced_tree=False, compact_nodes=False)
     rows = (1 << 16) // 4**d  # 2**16 fine cells a block
     for start in range(0, n, rows):
         ring = reach[start : start + rows]
@@ -677,10 +757,7 @@ def volume_estimate(cloud: PointCloud, epsilon: float) -> VolumeEstimate:
         row, *offsets = np.nonzero(ring)
         fine = [4 * col[row + start] + m for col, m in zip(near.T, offsets)]
         keep = np.logical_and.reduce([(m >= 0) & (m < size) for m, size in zip(fine, shape)])
-        centers = np.stack([low + (m[keep] + 0.5) * h for low, m in zip(lo, fine)], axis=1)
-        dist, _ = tree.query(centers, k=1, distance_upper_bound=eps * (1 + 1e-12))
-        marked += int(np.count_nonzero(dist <= eps))
-    return VolumeEstimate(epsilon=eps, volume=marked * h**d, resolution=h, ambient_dim=d)
+        yield np.stack([low + (m[keep] + 0.5) * h for low, m in zip(lo, fine)], axis=1)
 
 
 def volume_dimension(cloud: PointCloud, schedule: ScaleSchedule) -> float:
@@ -689,4 +766,4 @@ def volume_dimension(cloud: PointCloud, schedule: ScaleSchedule) -> float:
     The fit is :func:`~dimest.estimation.volume_scaling_dimension`, the one
     :func:`~dimest.estimation.build_report` uses for ``dim_box_volume``.
     """
-    return volume_scaling_dimension([volume_estimate(cloud, eps) for eps in schedule.epsilons])
+    return volume_scaling_dimension(volume_estimates(cloud, schedule.epsilons))

@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .boxcount import count_series, occupancy_series, volume_estimate
+from .boxcount import count_series, occupancy_series, volume_estimates
 from .errors import InputError, NumericalError
 from .estimation import build_report
 from .fileio import atomic_write_text, load_points_csv, save_points_csv
@@ -232,7 +232,7 @@ def _cmd_report(args) -> int:
     entropies = entropy_series(cloud, schedule, anchor)
     volumes = None
     if args.volume:
-        volumes = [volume_estimate(cloud, eps) for eps in schedule.epsilons]
+        volumes = volume_estimates(cloud, schedule.epsilons)
     # The no-op thread-count flag is deliberately absent, so reports from
     # any setting of it are byte identical.
     config = {

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import sys
+import threading
 
 # Before anything imports dimest: a test run leaves no __pycache__ in src/,
 # which would speed up the next benchmark of the same checkout.
@@ -50,6 +51,16 @@ def no_child_process_left():
         return
     # (0, 0) for a child still running; a zombie's pid and status, now reaped.
     pytest.fail(f"a child process outlived the test: waitpid gave {(pid, status)}")
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left():
+    """Fail a test that leaves a thread running, naming the threads."""
+    before = set(threading.enumerate())
+    yield
+    left = sorted(t.name for t in threading.enumerate() if t not in before)
+    if left:
+        pytest.fail(f"threads outlived the test: {', '.join(left)}")
 
 
 @pytest.fixture

@@ -5,6 +5,8 @@ from __future__ import annotations
 import gc
 import math
 import re
+import sys
+import threading
 import time
 import tracemalloc
 import weakref
@@ -39,6 +41,7 @@ from dimest import (
     uniform_segment,
     volume_dimension,
     volume_estimate,
+    volume_estimates,
 )
 from dimest.boxcount import VOLUME_MAX_CELLS, resolve_anchor, volume_stencils
 
@@ -312,6 +315,8 @@ def explicit_cases(draw):
     unit = draw(st.sampled_from([1.0, float(np.abs(cloud.points).max()) or 1.0]))
     ks = draw(st.sets(st.floats(min_value=-6, max_value=70), min_size=1, max_size=6))
     epsilons = np.unique([unit * 2.0**-k for k in ks])[::-1]
+    # A subnormal largest coordinate can round a scale to 0, which no schedule takes.
+    assume(epsilons[-1] > 0)
     schedule = ScaleSchedule.from_epsilons(epsilons)
     ks = schedule.ks  # not dyadic: integer k >= 0 with epsilon 2**-k throughout
     assume(not (np.all(ks == np.floor(ks)) and np.all(ks >= 0) and np.all(epsilons == 2.0**-ks)))
@@ -755,6 +760,18 @@ def lattice_volume_cases(draw):
     return PointCloud(pts / grid + offset), max(eps, floor)
 
 
+def first_of_estimates(cloud: PointCloud, eps: float):
+    """The estimate at eps from :func:`volume_estimates`, given a later scale too."""
+    return volume_estimates(cloud, [eps, 1.0])[0]
+
+
+# Each refusal test runs on both entry points; a refused first scale of
+# volume_estimates must refuse as volume_estimate does.
+BOTH_ESTIMATORS = pytest.mark.parametrize(
+    "estimate", [volume_estimate, first_of_estimates], ids=["volume_estimate", "volume_estimates"]
+)
+
+
 class TestVolumeEstimate:
     @given(volume_cases())
     @settings(max_examples=200, deadline=None)
@@ -805,7 +822,8 @@ class TestVolumeEstimate:
         assert time.perf_counter() - start < 0.5
         assert est.volume == pytest.approx(2 * math.pi * 1e-6, rel=0.15)
 
-    def test_cell_budget_checked_before_any_query(self, monkeypatch):
+    @BOTH_ESTIMATORS
+    def test_cell_budget_checked_before_any_query(self, monkeypatch, estimate):
         def no_tree(*args, **kwargs):
             raise AssertionError("KD-tree built past the budget")
 
@@ -815,7 +833,7 @@ class TestVolumeEstimate:
         assert 30**3 * 27 * 64 > VOLUME_MAX_CELLS
         message = f"too many volume cells at epsilon 0.25 (over {VOLUME_MAX_CELLS})"
         with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
-            volume_estimate(PointCloud(lattice), 0.25)
+            estimate(PointCloud(lattice), 0.25)
 
     @pytest.mark.parametrize(
         "points, eps",
@@ -843,6 +861,7 @@ class TestVolumeEstimate:
         with pytest.raises(InputError, match="^epsilon too large for coordinate range$"):
             volume_estimate(cloud, 1.7976931348623157e308)
 
+    @BOTH_ESTIMATORS
     @pytest.mark.parametrize(
         "points, eps",
         [
@@ -851,7 +870,7 @@ class TestVolumeEstimate:
         ],
     )
     def test_underflowing_cell_volume_refused_before_any_work(
-        self, monkeypatch, box_indices_calls, points, eps
+        self, monkeypatch, box_indices_calls, points, eps, estimate
     ):
         # h is a normal float and the span passes the resolution guard, but h**d is 0.
         def no_tree(*args, **kwargs):
@@ -861,7 +880,7 @@ class TestVolumeEstimate:
         cloud = PointCloud(np.array(points))
         message = "epsilon too small: cell volume h**d underflows to 0"
         with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
-            volume_estimate(cloud, eps)
+            estimate(cloud, eps)
         assert box_indices_calls == []
 
     def test_singleton_disk_area(self):
@@ -906,6 +925,113 @@ class TestVolumeEstimate:
         cloud = PointCloud(np.zeros((1, 3)))
         est = volume_estimate(cloud, 0.5)
         assert est.volume == pytest.approx(4.0 / 3.0 * math.pi * 0.125, rel=0.15)
+
+
+def _outcome(call):
+    """What call() returns, or the message of the InputError it raises."""
+    try:
+        return call()
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
+class TestVolumeEstimates:
+    @given(
+        st.one_of(volume_cases(), lattice_volume_cases()),
+        st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0, 4.0]), max_size=3),
+        st.integers(0, 3),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_match_one_estimate_per_epsilon(self, case, factors, position, cached):
+        # 1 to 4 scales, the drawn one among them, duplicates allowed; halving
+        # epsilon near the coordinate-range guard refuses a later scale.
+        cloud, eps = case
+        epsilons = [eps * f for f in factors]
+        epsilons.insert(position % (len(epsilons) + 1), eps)
+        if cached:
+            volume_estimate(cloud, eps)  # builds the cloud's tree
+        got = _outcome(lambda: volume_estimates(cloud, epsilons))
+        assert got == _outcome(lambda: [volume_estimate(cloud, e) for e in epsilons])
+
+    def test_blocks_of_every_scale_match_full_grid(self, monkeypatch):
+        # At these scales the ring of 5000 Sierpinski points fills several
+        # blocks of 2**16 fine cells, which go to the worker thread; a short
+        # switch interval interleaves the two threads finely.
+        threads = []
+
+        class RecordingTree(cKDTree):
+            def query(self, *args, **kwargs):
+                threads.append(threading.current_thread())
+                return super().query(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", RecordingTree)
+        cloud = ifs_chaos_game(sierpinski_spec(5000, rng_seed=1))
+        epsilons = [0.012, 0.004, 0.008, 0.004]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            volumes = [est.volume for est in volume_estimates(cloud, epsilons)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert volumes == [_full_grid_volume(cloud, eps) for eps in epsilons]
+        assert len(threads) > 2 * len(epsilons)
+        assert any(thread is not threading.main_thread() for thread in threads)
+
+    def test_worker_has_ended_when_the_call_returns(self):
+        cloud = ifs_chaos_game(sierpinski_spec(2000, rng_seed=3))
+        volume_estimates(cloud, [0.1, 0.05])
+        assert [t.name for t in threading.enumerate() if t.name.startswith("dimest-volume")] == []
+
+    @pytest.mark.parametrize(
+        "points, epsilons",
+        [
+            ("sierpinski", [0.1, 0.05, 0.0]),
+            ("sierpinski", [0.1, float("nan")]),
+            ("sierpinski", [0.1, 1e-300]),
+            ("sierpinski", [0.1, 1e300]),
+            ([[0.0, 0.0], [1e-190, 1e-190], [5e-191, 2e-191]], [1e-150, 1e-200]),
+            ("lattice", [1.0, 0.25]),
+        ],
+        ids=["zero", "nan", "too-small", "too-large", "underflow", "budget"],
+    )
+    def test_refused_later_epsilon_raises_as_the_serial_loop(self, points, epsilons):
+        if points == "sierpinski":
+            cloud = ifs_chaos_game(sierpinski_spec(2000, rng_seed=3))
+        elif points == "lattice":  # 30**3 points: refused at 0.25 (see the budget test)
+            lattice = np.stack(np.meshgrid(*[np.arange(30.0)] * 3), axis=-1)
+            cloud = PointCloud(lattice.reshape(-1, 3))
+        else:
+            cloud = PointCloud(np.array(points))
+        with pytest.raises(InputError) as serial:
+            [volume_estimate(cloud, eps) for eps in epsilons]
+        with pytest.raises(InputError, match=f"^{re.escape(str(serial.value))}$"):
+            volume_estimates(PointCloud(cloud.points), epsilons)
+
+    @pytest.mark.parametrize("epsilons", [[0.1, 0.05], [0.1, 0.0]], ids=["valid", "later-refused"])
+    def test_query_error_on_the_worker_propagates(self, monkeypatch, epsilons):
+        # The first scale's one block goes to the worker, whose error surfaces
+        # before a later scale's refusal, which the calling thread meets first.
+        threads = []
+
+        class FailingTree(cKDTree):
+            def query(self, *args, **kwargs):
+                threads.append(threading.current_thread())
+                time.sleep(0.1)
+                raise RuntimeError("query failed")
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", FailingTree)
+        cloud = ifs_chaos_game(sierpinski_spec(2000, rng_seed=3))
+        with pytest.raises(RuntimeError, match="^query failed$"):
+            volume_estimates(cloud, epsilons)
+        assert threads[0] is not threading.main_thread()
+
+    def test_no_epsilon_no_work(self, monkeypatch):
+        def no_tree(*args, **kwargs):
+            raise AssertionError("KD-tree built for no scale")
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", no_tree)
+        assert volume_estimates(PointCloud(np.zeros((1, 2))), []) == []
 
 
 def _offsets(d: int) -> np.ndarray:

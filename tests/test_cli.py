@@ -468,12 +468,16 @@ import dimest
 loaded["import dimest"] = "scipy" in sys.modules
 from dimest.cli import run
 loaded["import dimest.cli"] = "scipy" in sys.modules
-from dimest import InputError, PointCloud, volume_estimate
+from dimest import InputError, PointCloud, volume_estimate, volume_estimates
 lattice = np.stack(np.meshgrid(*[np.arange(30.0)] * 3), axis=-1).reshape(-1, 3)
 try:
     volume_estimate(PointCloud(lattice), 0.25)
 except InputError:
     loaded["refused volume_estimate"] = "scipy" in sys.modules
+try:
+    volume_estimates(PointCloud(lattice), [0.25, 1.0])
+except InputError:
+    loaded["refused volume_estimates"] = "scipy" in sys.modules
 cloud, out = sys.argv[1] + "/cloud.csv", sys.argv[1] + "/out"
 scales = ["--in", cloud, "--kmin", "2", "--kmax", "5"]
 for command, flags in (
@@ -493,6 +497,7 @@ print(json.dumps(loaded))
         "import dimest": False,
         "import dimest.cli": False,
         "refused volume_estimate": False,
+        "refused volume_estimates": False,
         "generate": False,
         "count": False,
         "entropy": False,
@@ -516,10 +521,13 @@ print(sorted(added - set(sys.stdlib_module_names)))
 
 
 def test_import_loads_no_subprocess():
-    # save_points_csv imports it when it starts a helper, not before.
-    proc = _python("-c", "import sys, dimest.cli; print('subprocess' in sys.modules)")
+    # save_points_csv imports subprocess when it starts a helper, and
+    # volume_estimates concurrent.futures when it starts its worker, not before.
+    modules = "('subprocess', 'concurrent.futures')"
+    code = f"import sys, dimest.cli; print([m in sys.modules for m in {modules}])"
+    proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[False, False]\n"
 
 
 def test_missing_scipy_fails_only_volume_in_one_line(tmp_path):
