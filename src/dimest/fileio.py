@@ -4,13 +4,14 @@ CSV format: UTF-8 text, one point per line, lines ending at any break
 ``str.splitlines`` knows. Blank lines are skipped, ``#`` comments take whole
 lines, commas separate coordinates, every line has as many of them and each
 is a finite float as ``float()`` reads it. Floats are written with ``repr``,
-so a save/load round trip is bit exact. A file of leading blank and ASCII
-``#`` lines then plain decimal rows, as ``save_points_csv`` writes, streams
-into one ``np.loadtxt`` call in pieces of 64 KiB cut after a line break, with
-lines of only spaces and tabs emptied first, so no copy of the whole file is
-held. A file with any other byte, found at its first piece that is not plain,
-is read again whole by a line-by-line parser, the only source of error
-messages. Both paths accept exactly the same inputs, bit for bit.
+so a save/load round trip is bit exact. A file is read in 64 KiB pieces, each
+with ``\\r`` read as ``\\n``, cut after its last line break, and with the
+lines the parser skips emptied (blank ones and printable-ASCII ``#`` lines).
+Pieces that then hold only plain decimal rows, as ``save_points_csv`` writes
+with ASCII comments, stream into one ``np.loadtxt`` call, so no copy of the
+file is held. A file with any other byte (a non-ASCII comment, another line
+break, a row in error) is read again whole by a line-by-line parser, the only
+source of error messages. Both paths accept the same inputs, bit for bit.
 
 Every save formats its rows in chunks, so no text of the whole cloud is held.
 A large save, on two or more usable CPUs, starts one helper interpreter
@@ -39,14 +40,15 @@ from .geometry import PointCloud
 
 __all__ = ["load_points_csv", "save_points_csv", "atomic_write_text"]
 
-# Leading blank and ASCII comment lines, each one line to str.splitlines too.
-_HEADER = re.compile(rb"(?:(?:#[\t -~]*|[ \t]*)(?:\r\n?|\n))*")
-# The bytes of rows that np.loadtxt either rejects or reads exactly as
-# float() does: a file holding no other byte after its header is plain.
-_PLAIN_BYTES = b"0123456789+-.eE,\r\n \t"
-# A line of only spaces and tabs after a row: np.loadtxt rejects it, the
-# parser skips it, and emptied it is a blank line np.loadtxt skips too.
-_BLANK_ROW = re.compile(rb"([\r\n])[ \t]+(?![^\r\n])")
+# The bytes of the rows save_points_csv writes, their line breaks included.
+_ROW_BYTES = b"0123456789+-.eE,\n"
+# The bytes np.loadtxt either rejects or reads exactly as float() does: a file
+# holding no other byte once its skipped lines are emptied is plain.
+_PLAIN_BYTES = _ROW_BYTES + b" \t"
+# A line the parser skips that holds no break str.splitlines knows: blank, or
+# a comment of printable ASCII. np.loadtxt rejects a line of spaces and an
+# indented comment; emptied, both are lines it skips too.
+_SKIPPED = re.compile(rb"^[ \t]*(?:#[\t -~]*)?$", re.MULTILINE)
 # Bytes read at a time from a CSV file or from the helper's output, so that
 # no copy of a whole file is held.
 _PIECE = 1 << 16
@@ -190,47 +192,40 @@ def save_points_csv(cloud: PointCloud, path, comments: Sequence[str] = ()) -> No
             helper.stdout.close()
 
 
-def _pieces(handle):
-    """The handle's bytes, each piece but the last cut after its last b"\\n".
+def _plain_pieces(handle):
+    """The handle's bytes in pieces np.loadtxt reads as the line parser does.
 
-    A ``BytesIO`` splits lines at b"\\n" only: the pieces' lines are the file's.
+    A b"\\r" read as b"\\n" splits lines where str.splitlines does (a
+    b"\\r\\n" gives one more empty line, skipped by both). Each piece is cut
+    after its last b"\\n", its skipped lines emptied; ``_NotPlain`` at any
+    other byte np.loadtxt may read otherwise.
     """
     held = []
-    for chunk in iter(lambda: handle.read(_PIECE), b""):
+    # A last b"\n" ends the last line: one more empty line changes no result.
+    for chunk in itertools.chain(iter(lambda: handle.read(_PIECE), b""), [b"\n"]):
+        chunk = chunk.replace(b"\r", b"\n")
         cut = chunk.rfind(b"\n") + 1
-        if cut:
-            yield b"".join([*held, chunk[:cut]])
-            held = []
-        held.append(chunk[cut:])
-    yield b"".join(held)
-
-
-def _plain_rows(pieces):
-    """Each piece as a ``BytesIO``, whitespace-only rows emptied; ``_NotPlain`` at other bytes."""
-    lookbehind = b""  # no row precedes the first row after the header
-    for piece in pieces:
-        if piece.translate(None, _PLAIN_BYTES):
-            raise _NotPlain
-        # Rows as save_points_csv writes them hold no space or tab to blank.
-        if b" " in piece or b"\t" in piece:
-            piece = _BLANK_ROW.sub(rb"\1", lookbehind + piece)[len(lookbehind) :]
-        lookbehind = piece[-1:]  # b"\n", blanked or not, but for the last piece
-        yield io.BytesIO(piece)
+        if not cut:
+            held.append(chunk)
+            continue
+        piece, held = b"".join([*held, chunk[:cut]]), [chunk[cut:]]
+        # Rows as save_points_csv writes them hold no byte to empty.
+        if piece.translate(None, _ROW_BYTES):
+            piece = _SKIPPED.sub(b"", piece)
+            if piece.translate(None, _PLAIN_BYTES):
+                raise _NotPlain
+        yield piece
 
 
 def _load_plain(handle) -> np.ndarray | None:
     """The finite points ``np.loadtxt`` reads from a plain file, else None for the parser."""
-    pieces = _pieces(handle)
-    for piece in pieces:
-        start = _HEADER.match(piece).end()
-        if start < len(piece):
-            break
-    else:  # all header, or empty: the parser says there are no points
-        return None
-    rows = _plain_rows(itertools.chain([piece[start:]], pieces))
+    pieces = _plain_pieces(handle)
     try:
-        first = next(rows)  # checked before np.loadtxt is called at all
-        lines = itertools.chain(first, itertools.chain.from_iterable(rows))
+        # The first piece holding a row is checked before np.loadtxt is called at all.
+        first = next((piece for piece in pieces if piece.strip(b"\n")), None)
+        if first is None:  # only skipped lines, or empty: the parser says there are no points
+            return None
+        lines = itertools.chain.from_iterable(map(io.BytesIO, itertools.chain([first], pieces)))
         points = np.loadtxt(lines, delimiter=",", ndmin=2)
     except ValueError:  # _NotPlain too: left to the line parser, which names the line
         return None
@@ -244,8 +239,9 @@ def _load_plain(handle) -> np.ndarray | None:
 def load_points_csv(path) -> PointCloud:
     """Parse a point-cloud CSV file; errors name the offending 1-based line.
 
-    Plain files stream into ``np.loadtxt`` (see the module docstring); a pipe,
-    which cannot be read twice, is held whole.
+    Plain files, with ASCII comments and blank lines anywhere and ``\\n``,
+    ``\\r\\n`` or ``\\r`` breaks, stream into ``np.loadtxt`` (see the module
+    docstring); a pipe, which cannot be read twice, is held whole.
     """
     try:
         with open(path, "rb") as file:

@@ -245,9 +245,10 @@ def assert_reads_as_reference(path, text: str) -> None:
 
 # Inputs np.loadtxt and the line parser read differently: the first two
 # loadtxt accepts and the line parser rejects, the rest the other way round.
-DIVERGENCES = ["1,2 # c\n", "1\x0c,2\n", "  # c\n1,2\n", "1_0,2\n", "\u0661,2\n"]
+DIVERGENCES = ["1,2 # c\n", "1\x0c,2\n", "1_0,2\n", "\u0661,2\n"]
 
 READER_CASES = DIVERGENCES + [
+    "  # c\n1,2\n",
     "# h\r\n1.5,2\r\n-3,4e-3\r\n",
     "1,2\x0b3,4\n",
     "1,2\u20283,4\n",
@@ -336,9 +337,16 @@ def loadtxt_calls(monkeypatch):
     return calls
 
 
+# Lines np.loadtxt rejects as they stand, which the parser skips: emptied first.
 @pytest.mark.parametrize(
     "text",
-    ["1,2\n  \n3,4\n", "1,2\n3,4\n\t", "# h\r\n1,2\r\n \t\r\n3,4\r\n", " 1 , 2 \n \n"],
+    [
+        "1,2\n  \n3,4\n",
+        "1,2\n3,4\n\t",
+        "# h\r\n1,2\r\n \t\r\n3,4\r\n",
+        " 1 , 2 \n \n",
+        "  # c\n1,2\n",
+    ],
 )
 def test_whitespace_only_lines_stay_on_loadtxt(tmp_path, monkeypatch, text):
     returned = []
@@ -359,7 +367,10 @@ def test_divergences_skip_loadtxt(tmp_path, loadtxt_calls, text):
     assert loadtxt_calls == []
 
 
-@pytest.mark.parametrize("text, plain", [("1,2\n3,4\n", True), ("1,2\n# c\n3,4\n", False)])
+@pytest.mark.parametrize(
+    "text, plain",
+    [("1,2\n3,4\n", True), ("1,2\n# c\n3,4\n", True), ("1,2\n\x0c\n3,4\n", False)],
+)
 def test_loaded_points_are_adopted_read_only(tmp_path, monkeypatch, text, plain):
     # Both reading paths hand the cloud a fresh array, which it keeps uncopied.
     returned = []
@@ -503,16 +514,47 @@ def test_streamed_writer_output_stays_on_loadtxt(tmp_path_factory, d, values, co
     assert_all_plain(lines)
 
 
+@st.composite
+def skipped_line_texts(draw):
+    """Writer output with ASCII comments and blank rows among its rows, any breaks."""
+    d = draw(st.integers(min_value=1, max_value=3))
+    values = draw(st.lists(finite_floats, min_size=1, max_size=30))
+    points = np.array((values * d)[: len(values) * d], dtype=float).reshape(-1, d)
+    printable = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12)
+    comments = draw(st.lists(printable, max_size=3))
+    lines = points_to_csv(PointCloud(points), comments).splitlines()
+    indent = st.text(" \t", max_size=3)
+    skipped = st.one_of(st.builds("{}#{}".format, indent, printable), indent)
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), draw(skipped))
+    breaks = st.sampled_from(["\n", "\r\n", "\r"])
+    return "".join(line + draw(breaks) for line in lines)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(text=skipped_line_texts(), piece=st.integers(min_value=1, max_value=16))
+def test_skipped_lines_and_any_breaks_stay_on_loadtxt(tmp_path_factory, text, piece):
+    path = tmp_path_factory.mktemp("piece") / "pts.csv"
+    path.write_bytes(text.encode("ascii"))
+    with streamed(piece) as (lines, returned):
+        got = load_points_csv(path).points
+    expected = reference_parse(text, path)
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+    assert len(lines) == 1 and returned[0] is got  # one np.loadtxt call read to the end
+    assert_all_plain(lines)
+
+
 # (piece size, text, loaded): np.loadtxt reads the file to the end (True), is
 # called and stops early, leaving it to the parser (False), or is never called (None).
 STREAMED_CASES = [
     # b"\r\n" split across the first read boundary, then across later ones.
     (4, "1,2\r\n3,4\r\n5,6\r\n", True),
     (5, "# h\r\n1,2\r\n3,4\r\n", True),
-    # CR-only breaks: no b"\n" to cut at, so the rows stay in one piece,
-    # one line to np.loadtxt, which rejects it as it did the whole file.
-    (4, "1,2\r3,4\r5,6\r", False),
-    (3, "# h\r1,2\r  \r3,4\r", False),
+    # A b"\r" ending one piece, its b"\n" starting the next.
+    (4, "# h\r\n1,2\r\n3,4\r\n", True),
+    # CR-only breaks: each b"\r" is read as b"\n", so the rows are cut as any.
+    (4, "1,2\r3,4\r5,6\r", True),
+    (3, "# h\r1,2\r  \r3,4\r", True),
     # Space-only rows at a boundary, after one, and longer than a piece.
     (4, "1,2\n  \n3,4\n", True),
     (5, "1,2\n\t \n3,4\n", True),
@@ -522,16 +564,18 @@ STREAMED_CASES = [
     (8, "# a comment longer than a piece\n# and one more\n\n1,2\n", True),
     (4, "# h\n\n# i\n1,2\n3,4\n", True),
     (1, "  \n# h\n1.5,-2e-3\n", True),
+    # Comment lines anywhere: in a piece of their own between rows, and last.
+    (8, "1.5,2.5\n# a\n# b\n3.5,4.5\n", True),
+    (4, "1,2\n3,4\n# c\n", True),
     # No trailing newline.
     (4, "1,2\n3,4\n5,6", True),
     (16, "1,2\n3,4", True),
     # Header only.
     (4, "# only\n# a header\n\n", None),
     (2, "\n\n\n\n", None),
-    # Not plain in the last of three pieces only: an error, a comment the
-    # parser skips, a row np.loadtxt would read otherwise, a break it ignores.
+    # Not plain in the last of three pieces only: an error, a row np.loadtxt
+    # would read otherwise, a break it ignores, a comment after a row.
     (4, "1,2\n3,4\n5,x\n", False),
-    (4, "1,2\n3,4\n# c\n", False),
     (4, "1,2\n3,4\n5_0,6\n", False),
     (4, "1,2\n3,4\n5,6\x0b7,8\n", False),
     (4, "1,2\n3,4\n5,6 # c\n", False),

@@ -19,7 +19,10 @@ counted from chunked keys ("was") and after ("now"), on a 2-vCPU host with
 numpy 2.4.6 and scipy 1.17.1. At 10 times the orbit and 5 times the
 Sierpinski cloud every row read the same or a smaller multiple. The two
 rows added with ``volume_estimates`` give the range over repeated runs of the
-serial per-scale loop it replaced ("was") and of its own ("now").
+serial per-scale loop it replaced ("was") and of its own ("now"). The two
+read rows give the peak of ``load_points_csv`` alone on the orbit's CSV
+rewritten, before a skipped line or a lone b"\\r" stopped sending the file
+to the whole-file parser ("was") and after ("now").
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from dimest import (
     entropy_series,
     henon_orbit,
     ifs_chaos_game,
+    load_points_csv,
     save_points_csv,
     sierpinski_spec,
     volume_estimate,
@@ -125,6 +129,30 @@ def test_volume_estimates_peak_on_a_fresh_cloud(clouds):
     scales = [float(e) for e in VOLUME.split(",")]
     peak = traced_peak(lambda: volume_estimates(cloud, scales))
     assert peak < 4.5 * cloud.points.nbytes  # 3.60 -> 3.61-3.66
+
+
+def with_mid_comment(data: bytes) -> bytes:
+    """The CSV with one "# mid" line after its 100th row."""
+    head = data.split(b"\n", 100)
+    return b"\n".join([*head[:100], b"# mid", head[100]])
+
+
+# (rewrite of the orbit's CSV, bound): peak / cloud bytes was -> now.
+READS = [
+    (with_mid_comment, 1.6),  # 19.91 -> 1.31
+    (lambda data: data.replace(b"\n", b"\r"), 1.6),  # 19.91 -> 1.31
+]
+
+
+@pytest.mark.parametrize("rewrite, bound", READS, ids=["mid-comment", "cr-breaks"])
+def test_read_peak(tmp_path, clouds, rewrite, bound):
+    cloud, path = clouds["orbit"]
+    rewritten = tmp_path / "rewritten.csv"
+    rewritten.write_bytes(rewrite(path.read_bytes()))
+    loaded = []
+    peak = traced_peak(lambda: loaded.append(load_points_csv(rewritten)))
+    assert loaded[0].points.tobytes() == cloud.points.tobytes()
+    assert peak < bound * cloud.points.nbytes
 
 
 # Runs report --volume and prints the peak RSS in KiB before and after it.

@@ -1,4 +1,4 @@
-"""Tests and demos use dimest only through its public names, which all exist."""
+"""Tests, demos and dimest's own modules share only public names, which all exist."""
 
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ import dimest
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "tests").rglob("*.py")) + sorted((ROOT / "demos").rglob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "dimest").glob("*.py"))
 
 
 def _private(name: str) -> bool:
@@ -35,6 +36,16 @@ def private_imports(source: str) -> list[tuple[int, str]]:
     return found
 
 
+def relative_private_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each underscore-prefixed name in a relative import."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names = (node.module or "").split(".") + [a.name for a in node.names]
+            found += [(node.lineno, name) for name in names if _private(name)]
+    return found
+
+
 def test_sources_found():
     assert {p.parent.name for p in SOURCES} == {"tests", "demos"}
 
@@ -46,6 +57,35 @@ def test_no_private_dimest_imports():
         for line, name in private_imports(path.read_text(encoding="utf-8"))
     ]
     assert hits == []
+
+
+def test_no_private_imports_between_dimest_modules():
+    assert {"__init__", "cli", "fileio"} <= {path.stem for path in PACKAGE}
+    hits = []
+    for path in PACKAGE:
+        source = path.read_text(encoding="utf-8")
+        found = private_imports(source) + relative_private_imports(source)
+        hits += [f"{path.relative_to(ROOT)}:{line} {name}" for line, name in found]
+    assert hits == []
+
+
+def test_relative_detector_flags_only_private_names():
+    source = (
+        "from .boxcount import count_series, _unique_index_counts\n"
+        "from . import __version__, _local\n"
+        "from ._impl import thing\n"
+        "from .. import _up\n"
+        "from dimest.geometry import _INDEX_LIMIT\n"
+        "def f():\n"
+        "    from .geometry import _INDEX_LIMIT as limit\n"
+    )
+    assert relative_private_imports(source) == [
+        (1, "_unique_index_counts"),
+        (2, "_local"),
+        (3, "_impl"),
+        (4, "_up"),
+        (7, "_INDEX_LIMIT"),
+    ]
 
 
 def test_detector_flags_only_private_dimest_names():
