@@ -4,14 +4,22 @@ CSV format: UTF-8 text, one point per line, lines ending at any break
 ``str.splitlines`` knows. Blank lines are skipped, ``#`` comments take whole
 lines, commas separate coordinates, every line has as many of them and each
 is a finite float as ``float()`` reads it. Floats are written with ``repr``,
-so a save/load round trip is bit exact. A file is read in 64 KiB pieces, each
-with ``\\r`` read as ``\\n``, cut after its last line break, and with the
-lines the parser skips emptied (blank ones and printable-ASCII ``#`` lines).
-Pieces that then hold only plain decimal rows, as ``save_points_csv`` writes
-with ASCII comments, stream into one ``np.loadtxt`` call, so no copy of the
-file is held. A file with any other byte (a non-ASCII comment, another line
-break, a row in error) is read again whole by a line-by-line parser, the only
-source of error messages. Both paths accept the same inputs, bit for bit.
+so a save/load round trip is bit exact.
+
+A file is first checked whole, in 64 KiB pieces, each with ``\\r`` read as
+``\\n`` and cut after its last line break: once the lines the parser skips
+are emptied (blank ones, and ``#`` lines of UTF-8 holding no other break), a
+plain file holds only decimal rows. ``np.loadtxt`` then reads a plain regular
+file itself by the descriptor's name (``/dev/fd/<fd>``; given the path, numpy
+would decompress a ``.gz`` name or fetch a URL), and the array is kept only
+if the file's size and times did not change. An indented comment or a line
+of only spaces and tabs (``np.loadtxt`` rejects both), a pipe (held whole)
+or no ``/dev/fd`` feeds it the lines of the emptied pieces instead, so no
+copy of a regular file is held either way.
+A file with any other byte (a comment with another line break, a row in
+error, bytes that are not UTF-8) is read again whole by a line-by-line
+parser, the only source of error messages. Both paths accept the same
+inputs, bit for bit.
 
 Every save formats its rows in chunks, so no text of the whole cloud is held.
 A large save, on two or more usable CPUs, starts one helper interpreter
@@ -27,6 +35,7 @@ from __future__ import annotations
 import contextlib
 import io
 import itertools
+import operator
 import os
 import re
 import sys
@@ -45,17 +54,23 @@ _ROW_BYTES = b"0123456789+-.eE,\n"
 # The bytes np.loadtxt either rejects or reads exactly as float() does: a file
 # holding no other byte once its skipped lines are emptied is plain.
 _PLAIN_BYTES = _ROW_BYTES + b" \t"
-# A line the parser skips that holds no break str.splitlines knows: blank, or
-# a comment of printable ASCII. np.loadtxt rejects a line of spaces and an
-# indented comment; emptied, both are lines it skips too.
-_SKIPPED = re.compile(rb"^[ \t]*(?:#[\t -~]*)?$", re.MULTILINE)
+# A skipped line's end: an optional comment, "#" then UTF-8 text holding no
+# line break str.splitlines knows but \n (\r is read as \n), since
+# np.loadtxt ends a comment at \n only. A piece holding such a line is
+# checked to be UTF-8 whole, so these bytes are whole characters.
+_COMMENT = rb"(?:#(?:(?!\xc2\x85|\xe2\x80[\xa8\xa9])[^\n\x0b\x0c\x1c-\x1e])*)?$"
+# Lines the parser skips that np.loadtxt skips too: empty, or a comment at column 0.
+_SKIPPED = re.compile(rb"^" + _COMMENT, re.MULTILINE)
+# Lines the parser skips that np.loadtxt rejects in a file: spaces and tabs
+# only, or a comment after them. Emptied, they are lines it skips too.
+_INDENTED = re.compile(rb"^[ \t]+" + _COMMENT, re.MULTILINE)
+# The fstat fields that show a file changed after it was checked.
+_STAMP = operator.attrgetter("st_size", "st_mtime_ns", "st_ctime_ns")
 # Bytes read at a time from a CSV file or from the helper's output, so that
 # no copy of a whole file is held.
 _PIECE = 1 << 16
-
-
-class _NotPlain(ValueError):
-    """A piece holds a byte np.loadtxt may read otherwise than the line parser."""
+# Where an open descriptor has a name np.loadtxt can open: /dev/fd/<fd>.
+_FD_DIR = "/dev/fd"
 
 # Clouds of fewer coordinates are saved in this process alone. On a 2-vCPU
 # guest the helper starts in about 16 ms and broke even between 2**15 floats
@@ -197,8 +212,9 @@ def _plain_pieces(handle):
 
     A b"\\r" read as b"\\n" splits lines where str.splitlines does (a
     b"\\r\\n" gives one more empty line, skipped by both). Each piece is cut
-    after its last b"\\n", its skipped lines emptied; ``_NotPlain`` at any
-    other byte np.loadtxt may read otherwise.
+    after its last b"\\n" and yielded with its skipped lines emptied, together
+    with how many of them were indented or spaces only. ``ValueError`` at
+    any other byte np.loadtxt may read otherwise.
     """
     held = []
     # A last b"\n" ends the last line: one more empty line changes no result.
@@ -208,26 +224,42 @@ def _plain_pieces(handle):
         if not cut:
             held.append(chunk)
             continue
-        piece, held = b"".join([*held, chunk[:cut]]), [chunk[cut:]]
+        piece, held, indented = b"".join([*held, chunk[:cut]]), [chunk[cut:]], 0
         # Rows as save_points_csv writes them hold no byte to empty.
         if piece.translate(None, _ROW_BYTES):
+            piece.decode("utf-8")  # UnicodeDecodeError, a ValueError, if not UTF-8
+            piece, indented = _INDENTED.subn(b"", piece)
             piece = _SKIPPED.sub(b"", piece)
             if piece.translate(None, _PLAIN_BYTES):
-                raise _NotPlain
-        yield piece
+                raise ValueError("not plain")
+        yield piece, indented
 
 
-def _load_plain(handle) -> np.ndarray | None:
-    """The finite points ``np.loadtxt`` reads from a plain file, else None for the parser."""
-    pieces = _plain_pieces(handle)
+def _load_plain(handle, fd: int) -> np.ndarray | None:
+    """The finite points ``np.loadtxt`` reads from a plain file, else None for the parser.
+
+    ``handle`` is checked whole, then read by numpy by the name of ``fd`` or
+    as the lines of its pieces (see the module docstring).
+    """
+    before = os.fstat(fd)
+    name = f"{_FD_DIR}/{fd}"
     try:
-        # The first piece holding a row is checked before np.loadtxt is called at all.
-        first = next((piece for piece in pieces if piece.strip(b"\n")), None)
-        if first is None:  # only skipped lines, or empty: the parser says there are no points
+        rows = indented = False
+        for piece, emptied in _plain_pieces(handle):
+            rows = rows or bool(piece.strip(b"\n"))
+            indented = indented or bool(emptied)
+        if not rows:  # only skipped lines, or empty: the parser says there are no points
             return None
-        lines = itertools.chain.from_iterable(map(io.BytesIO, itertools.chain([first], pieces)))
-        points = np.loadtxt(lines, delimiter=",", ndmin=2)
-    except ValueError:  # _NotPlain too: left to the line parser, which names the line
+        handle.seek(0)
+        if indented or not os.path.isfile(name):  # a pipe, or no /dev/fd
+            pieces = (piece for piece, _ in _plain_pieces(handle))
+            lines = itertools.chain.from_iterable(map(io.BytesIO, pieces))
+            points = np.loadtxt(lines, delimiter=",", ndmin=2)
+        else:
+            points = np.loadtxt(name, delimiter=",", ndmin=2, encoding="utf-8")
+            if _STAMP(os.fstat(fd)) != _STAMP(before):
+                return None
+    except ValueError:  # left to the line parser, which names the line
         return None
     # PointCloud's rule: NaN propagates to min and max, with no (n, d) bool array.
     if not (points.size and np.isfinite(points.min()) and np.isfinite(points.max())):
@@ -239,14 +271,15 @@ def _load_plain(handle) -> np.ndarray | None:
 def load_points_csv(path) -> PointCloud:
     """Parse a point-cloud CSV file; errors name the offending 1-based line.
 
-    Plain files, with ASCII comments and blank lines anywhere and ``\\n``,
-    ``\\r\\n`` or ``\\r`` breaks, stream into ``np.loadtxt`` (see the module
-    docstring); a pipe, which cannot be read twice, is held whole.
+    A plain file, with UTF-8 comments and blank lines anywhere and ``\\n``,
+    ``\\r\\n`` or ``\\r`` breaks, is checked in pieces and then read by
+    ``np.loadtxt`` (see the module docstring); a pipe, which cannot be read
+    twice, is held whole.
     """
     try:
         with open(path, "rb") as file:
             handle = file if file.seekable() else io.BytesIO(file.read())
-            points = _load_plain(handle)
+            points = _load_plain(handle, file.fileno())
             if points is None:
                 handle.seek(0)
                 data = handle.read()

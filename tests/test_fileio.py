@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import hashlib
+import itertools
 import os
 import re
 import stat
@@ -26,6 +28,7 @@ from dimest import (
     load_points_csv,
     save_points_csv,
 )
+from dimest.cli import run
 from dimest.fileio import atomic_write_text, points_to_csv
 
 
@@ -395,7 +398,7 @@ def test_loaded_points_are_adopted_read_only(tmp_path, monkeypatch, text, plain)
 _TOKENS = [
     "0", "1", "7", ".", "e", "E", "+", "-", ",", " ", "\t", "\n", "\r\n", "\r",
     "#", "\x0b", "\x0c", "\u2028", "\x85", "_", "\u0661", "nan", "inf", "1e999",
-    "5e-324", "-0.0", "0.1", "\u00e9", "\ufeff",
+    "5e-324", "-0.0", "0.1", "\u00e9", "\ufeff", "\x00", "\x1c", "\u2029",
 ]
 
 
@@ -441,12 +444,18 @@ def test_plain_byte_check_agrees_with_the_row_regex(data):
 # --- Reader: files streamed into np.loadtxt in pieces -------------------------
 
 
+def numpy_lines(data: bytes) -> list[bytes]:
+    """The lines np.loadtxt reads in a file's bytes: universal newlines."""
+    return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n").splitlines(keepends=True)
+
+
 @contextlib.contextmanager
 def streamed(piece):
     """Reads in pieces of ``piece`` bytes, with np.loadtxt spied on.
 
-    Yields ``(lines, returned)``: the lines each np.loadtxt call iterated, and
-    the arrays the calls that finished returned.
+    Yields ``(lines, returned)``: the lines each np.loadtxt call read, and
+    the arrays the calls that finished returned. A call given the name of a
+    file reads the lines of the bytes the name holds when it is called.
     """
     lines, returned = [], []
     original = np.loadtxt
@@ -455,12 +464,17 @@ def streamed(piece):
         seen = []
         lines.append(seen)
 
-        def tap():
+        def tap(rows):
             for line in rows:
                 seen.append(line)
                 yield line
 
-        returned.append(original(tap(), *args, **kwargs))
+        if isinstance(rows, str):
+            with open(rows, "rb") as file:
+                seen.extend(numpy_lines(file.read()))
+        else:
+            rows = tap(rows)
+        returned.append(original(rows, *args, **kwargs))
         return returned[-1]
 
     with pytest.MonkeyPatch.context() as patch:
@@ -470,8 +484,12 @@ def streamed(piece):
 
 
 def assert_all_plain(lines):
-    # np.loadtxt never sees a byte it may read otherwise than the line parser.
-    assert all(not line.translate(None, _PLAIN) for call in lines for line in call)
+    # np.loadtxt never sees a byte it may read otherwise than the line parser:
+    # each line it reads is plain, or a comment at column 0 that
+    # str.splitlines keeps one line (np.loadtxt ends a comment at a line break only).
+    for line in itertools.chain.from_iterable(lines):
+        if line.translate(None, _PLAIN):
+            assert line.startswith(b"#") and len(line.decode("utf-8").splitlines()) == 1, line
 
 
 @st.composite
@@ -500,7 +518,10 @@ def test_streamed_reader_matches_reference(tmp_path_factory, text, piece):
 @given(
     d=st.integers(min_value=1, max_value=3),
     values=st.lists(finite_floats, min_size=1, max_size=30),
-    comments=st.lists(st.text(st.characters(min_codepoint=32, max_codepoint=126)), max_size=3),
+    # Any comment the writer keeps on one line, non-ASCII ones included.
+    comments=st.lists(
+        st.text(max_size=12).filter(lambda c: len(f"# {c}".splitlines()) == 1), max_size=3
+    ),
     piece=st.integers(min_value=1, max_value=16),
 )
 def test_streamed_writer_output_stays_on_loadtxt(tmp_path_factory, d, values, comments, piece):
@@ -544,8 +565,8 @@ def test_skipped_lines_and_any_breaks_stay_on_loadtxt(tmp_path_factory, text, pi
     assert_all_plain(lines)
 
 
-# (piece size, text, loaded): np.loadtxt reads the file to the end (True), is
-# called and stops early, leaving it to the parser (False), or is never called (None).
+# (piece size, text, loaded): np.loadtxt reads the file to the end (True) or,
+# the file being checked whole first, is never called (None).
 STREAMED_CASES = [
     # b"\r\n" split across the first read boundary, then across later ones.
     (4, "1,2\r\n3,4\r\n5,6\r\n", True),
@@ -575,10 +596,10 @@ STREAMED_CASES = [
     (2, "\n\n\n\n", None),
     # Not plain in the last of three pieces only: an error, a row np.loadtxt
     # would read otherwise, a break it ignores, a comment after a row.
-    (4, "1,2\n3,4\n5,x\n", False),
-    (4, "1,2\n3,4\n5_0,6\n", False),
-    (4, "1,2\n3,4\n5,6\x0b7,8\n", False),
-    (4, "1,2\n3,4\n5,6 # c\n", False),
+    (4, "1,2\n3,4\n5,x\n", None),
+    (4, "1,2\n3,4\n5_0,6\n", None),
+    (4, "1,2\n3,4\n5,6\x0b7,8\n", None),
+    (4, "1,2\n3,4\n5,6 # c\n", None),
 ]
 
 
@@ -611,7 +632,7 @@ def test_large_read_holds_no_copy_of_the_file(tmp_path):
 
 @pytest.mark.parametrize("text", ["# h\n1,2\n3,4\n", "1,2\n3,x\n", "1,2\n# c\n3,4\n"])
 def test_pipe_reads_as_reference(tmp_path, text):
-    # A pipe cannot be read again: it is held whole for the parser.
+    # A pipe cannot be read again: it is held whole, checked, then fed to np.loadtxt.
     path = tmp_path / "pipe"
     os.mkfifo(path)
     writer = threading.Thread(target=path.write_text, args=(text,), daemon=True)
@@ -627,6 +648,127 @@ def test_pipe_reads_as_reference(tmp_path, text):
     except InputError as exc:
         expected = ("error", str(exc))
     assert got == expected
+
+
+def assert_loadtxt_reads_only_one_line_utf8(path, comment: bytes, piece: int) -> None:
+    # A comment at column 0 reaches np.loadtxt when it is UTF-8 that
+    # str.splitlines keeps one line; any other never does.
+    try:
+        text = "#" + comment.decode("utf-8")
+    except UnicodeDecodeError:
+        one_line = False
+    else:
+        one_line = text.splitlines() == [text]
+    path.write_bytes(b"#" + comment + b"\n1,2\n")
+    with streamed(piece) as (lines, returned):
+        try:
+            got = load_points_csv(path).points.tolist()
+        except InputError as exc:
+            got = str(exc)
+    assert len(lines) == one_line
+    if one_line:
+        assert got == [[1.0, 2.0]] and len(returned) == 1
+    assert_all_plain(lines)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    comment=st.one_of(st.binary(max_size=12), st.text(max_size=6).map(str.encode)).filter(
+        lambda data: b"\n" not in data and b"\r" not in data
+    ),
+    piece=st.integers(min_value=1, max_value=16),
+)
+def test_loadtxt_reads_exactly_the_one_line_utf8_comments(tmp_path_factory, comment, piece):
+    path = tmp_path_factory.mktemp("comment") / "pts.csv"
+    assert_loadtxt_reads_only_one_line_utf8(path, comment, piece)
+
+
+# Bytes at the edges of well-formed UTF-8 (overlong forms, surrogates, past
+# U+10FFFF, cut short) and the breaks str.splitlines knows besides \n and \r.
+UTF8_EDGES = [
+    b"\x00", b"\x0b", b"\x0c", b"\x1b", b"\x1c", b"\x1d", b"\x1e", b"\x1f", b"\x7f",
+    b"\x80", b"\xc0\x80", b"\xc1\xbf", b"\xc2\x80", b"\xc2\x85", b"\xdf\xbf",
+    b"\xe0\x9f\xbf", b"\xe0\xa0\x80", b"\xe2\x80", b"\xe2\x80\xa8", b"\xe2\x80\xa9",
+    b"\xe2\x80\xaa", b"\xed\x9f\xbf", b"\xed\xa0\x80", b"\xed\xbf\xbf", b"\xee\x80\x80",
+    b"\xef\xbb\xbf", b"\xf0\x8f\xbf\xbf", b"\xf0\x90\x80\x80", b"\xf4\x8f\xbf\xbf",
+    b"\xf4\x90\x80\x80", b"\xf5\x80\x80\x80", b"\xff",
+]
+
+
+@pytest.mark.parametrize("comment", UTF8_EDGES)
+def test_loadtxt_reads_only_one_line_utf8_at_the_edges(tmp_path, comment):
+    text = b"caf\xc3\xa9 " + comment + b" 9,9"
+    assert_loadtxt_reads_only_one_line_utf8(tmp_path / "pts.csv", text, 3)
+
+
+@pytest.mark.parametrize(
+    "name", ["pts.csv.gz", "pts.csv.bz2", "pts.csv.xz", "http://localhost/pts.csv"]
+)
+def test_names_numpy_would_open_otherwise_load_bit_for_bit(tmp_path, monkeypatch, name):
+    # numpy opens a name ending in .gz, .bz2 or .xz as compressed and a
+    # "scheme://" name as a URL; a plain CSV under such a name loads as any.
+    monkeypatch.chdir(tmp_path)
+    os.makedirs(os.path.dirname(name) or ".", exist_ok=True)
+    cloud = henon_orbit(HenonParams(samples=500))
+    save_points_csv(cloud, name, ["header"])
+    assert load_points_csv(name).points.tobytes() == cloud.points.tobytes()
+
+
+def test_file_rewritten_during_the_read_goes_to_the_parser(tmp_path, monkeypatch):
+    # The file gains a line np.loadtxt reads otherwise than the parser after it
+    # was checked: numpy's array is dropped and the parser reads the new bytes.
+    path = tmp_path / "pts.csv"
+    path.write_text("1,2\n3,4\n")
+    original, calls = np.loadtxt, []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        with open(path, "a") as file:
+            file.write("5,6 # c\n")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    with pytest.raises(InputError) as raised:
+        load_points_csv(path)
+    assert len(calls) == 1 and isinstance(calls[0][0], str)
+    assert str(raised.value) == f"{path}: line 3: not a number: '5,6 # c'"
+    with pytest.raises(InputError, match="line 3: not a number"):
+        reference_parse(path.read_text(), path)
+
+
+def test_without_a_descriptor_name_loadtxt_reads_the_pieces(tmp_path, monkeypatch, loadtxt_calls):
+    # On a platform with no /dev/fd np.loadtxt is fed the checked lines.
+    monkeypatch.setattr(fileio, "_FD_DIR", str(tmp_path / "no-fd"))
+    cloud = henon_orbit(HenonParams(samples=500))
+    save_points_csv(cloud, tmp_path / "pts.csv", ["header"])
+    assert load_points_csv(tmp_path / "pts.csv").points.tobytes() == cloud.points.tobytes()
+    assert len(loadtxt_calls) == 1 and not isinstance(loadtxt_calls[0][0], str)
+
+
+def test_report_is_the_same_on_every_route(tmp_path, monkeypatch, loadtxt_calls):
+    # np.loadtxt reads the file itself, the lines of its pieces (an indented
+    # comment), or a pipe's: the report's bytes are the same. The report names
+    # its input, so each route reads "in.csv" in a folder of its own.
+    cloud = henon_orbit(HenonParams(samples=5000))
+    save_points_csv(cloud, tmp_path / "plain.csv", ["header"])
+    data = (tmp_path / "plain.csv").read_bytes()
+    folders = [tmp_path / route for route in ("file", "lines", "pipe")]
+    for folder in folders:
+        folder.mkdir()
+    (folders[0] / "in.csv").write_bytes(data)
+    (folders[1] / "in.csv").write_bytes(data.replace(b"\n", b"\n  # indented\n", 1))
+    os.mkfifo(folders[2] / "in.csv")
+    writer = threading.Thread(target=(folders[2] / "in.csv").write_bytes, args=(data,), daemon=True)
+    writer.start()
+    digests = []
+    for folder in folders:
+        monkeypatch.chdir(folder)
+        assert run(["report", "--in", "in.csv", "--json", "report.json"]) == 0
+        digests.append(hashlib.sha256((folder / "report.json").read_bytes()).hexdigest())
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert [isinstance(args[0], str) for args in loadtxt_calls] == [True, False, False]
+    assert len(set(digests)) == 1
 
 
 # --- Writer: the helper interpreter of large saves ----------------------------

@@ -19,10 +19,14 @@ counted from chunked keys ("was") and after ("now"), on a 2-vCPU host with
 numpy 2.4.6 and scipy 1.17.1. At 10 times the orbit and 5 times the
 Sierpinski cloud every row read the same or a smaller multiple. The two
 rows added with ``volume_estimates`` give the range over repeated runs of the
-serial per-scale loop it replaced ("was") and of its own ("now"). The two
-read rows give the peak of ``load_points_csv`` alone on the orbit's CSV
-rewritten, before a skipped line or a lone b"\\r" stopped sending the file
-to the whole-file parser ("was") and after ("now").
+serial per-scale loop it replaced ("was") and of its own ("now"). The read
+rows give the peak of ``load_points_csv`` alone on the orbit's CSV, as
+written or rewritten, while np.loadtxt read the lines of 64 KiB pieces (or
+the whole-file parser read a file with a skipped line, a lone b"\\r" or a
+non-ASCII comment: "was") and since np.loadtxt reads the checked file itself
+("now"). The ``count --histogram`` and ``generate`` rows, added later, give
+the peak they were set from alone; ``generate`` writes its cloud instead of
+reading one.
 """
 
 from __future__ import annotations
@@ -90,21 +94,49 @@ LEDGER = [
     (["report", "--volume", "--epsilons", VOLUME], "orbit", 4.5),  # 5.52 -> 3.77
     (["report", "--volume", "--epsilons", VOLUME], "sierpinski", 5.5),  # 9.44 -> 4.64
     (["report", "--kmin", "3", "--kmax", "7"], "orbit", 2.5),  # control: 2.01 -> 2.01
+    # k = 3..7; 3.05 when it is the first CSV read in the process.
+    (["count", "--histogram", "{tmp}/histogram.json"], "orbit", 3.5),  # 3.02
 ]
 
 
 @pytest.mark.parametrize(
     "argv, name, bound",
     LEDGER,
-    ids=["count-explicit", "report-explicit", "volume-orbit", "volume-sierpinski", "report-k3-7"],
+    ids=[
+        "count-explicit",
+        "report-explicit",
+        "volume-orbit",
+        "volume-sierpinski",
+        "report-k3-7",
+        "count-histogram",
+    ],
 )
 def test_command_peak(tmp_path, clouds, argv, name, bound):
     cloud, path = clouds[name]
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
     out = ["--out" if argv[0] == "count" else "--json", str(tmp_path / "out")]
     codes = []
     peak = traced_peak(lambda: codes.append(run([*argv, "--in", str(path), *out])))
     assert codes == [0]
     assert peak < bound * cloud.points.nbytes
+
+
+# (generator and its options, bound): peak / bytes of the 2*10**5-point cloud it writes.
+GENERATE = [
+    (["henon"], 1.6),  # 1.32
+    (["sierpinski", "--rng-seed", "0"], 1.6),  # 1.35
+]
+
+
+@pytest.mark.parametrize("argv, bound", GENERATE, ids=["henon", "sierpinski"])
+def test_generate_peak(tmp_path, argv, bound):
+    out = tmp_path / "out.csv"
+    codes = []
+    peak = traced_peak(
+        lambda: codes.append(run(["generate", *argv, "--samples", "200000", "--out", str(out)]))
+    )
+    assert codes == [0]
+    assert peak < bound * 2 * 10**5 * 2 * 8
 
 
 def test_volume_estimate_peak_after_the_tree(clouds):
@@ -139,12 +171,16 @@ def with_mid_comment(data: bytes) -> bytes:
 
 # (rewrite of the orbit's CSV, bound): peak / cloud bytes was -> now.
 READS = [
-    (with_mid_comment, 1.6),  # 19.91 -> 1.31
-    (lambda data: data.replace(b"\n", b"\r"), 1.6),  # 19.91 -> 1.31
+    (with_mid_comment, 1.6),  # 19.91 -> 1.31 -> 1.26
+    (lambda data: data.replace(b"\n", b"\r"), 1.6),  # 19.91 -> 1.31 -> 1.26
+    (lambda data: data, 1.6),  # as written: 1.31 -> 1.26
+    (lambda data: "# made with dimest \u2014 caf\u00e9\n".encode() + data, 1.6),  # 22.38 -> 1.26
 ]
 
 
-@pytest.mark.parametrize("rewrite, bound", READS, ids=["mid-comment", "cr-breaks"])
+@pytest.mark.parametrize(
+    "rewrite, bound", READS, ids=["mid-comment", "cr-breaks", "as-written", "non-ascii-comment"]
+)
 def test_read_peak(tmp_path, clouds, rewrite, bound):
     cloud, path = clouds["orbit"]
     rewritten = tmp_path / "rewritten.csv"
