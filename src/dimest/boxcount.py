@@ -10,8 +10,9 @@ Two independent routes to the same dimension:
   up to ``VOLUME_MAX_CELLS`` (``volume_estimate`` / ``volume_estimates`` /
   ``volume_dimension``). Euclidean stencils around the occupied fine cells
   settle most of them; only the ring the stencils leave undecided is queried
-  on a KD-tree. The tree is built on the calling thread; the ring is queried
-  mostly on one worker thread, while the next scale's bitmaps are built.
+  on a KD-tree. The tree is built on the calling thread while one worker
+  thread builds the first scale's bitmaps; the ring is then queried mostly on
+  that worker, while the next scale's bitmaps are built.
 
 For a set of dimension s in R^d the occupied count grows like eps**-s while
 the neighborhood volume shrinks like eps**(d-s), so the two estimators agree
@@ -555,9 +556,10 @@ def volume_estimate(cloud: PointCloud, epsilon: float) -> VolumeEstimate:
     a node is pruned only if its lower bound, off by rounding far under that
     slack, exceeds the bound or the best pair found. So trees differ only if a
     best pair a rounding error past epsilon hides one within it. The tree is
-    built on the calling thread, on first use, once the first scale's bitmaps
-    are built; the ring is queried on it a block at a time, mostly on one
-    worker thread (:func:`volume_estimates`).
+    built on the calling thread, on first use, once the first scale is checked
+    and while one worker thread builds that scale's bitmaps; the ring is
+    queried on it a block at a time, mostly on that worker
+    (:func:`volume_estimates`).
     """
     return volume_estimates(cloud, [epsilon])[0]
 
@@ -565,56 +567,69 @@ def volume_estimate(cloud: PointCloud, epsilon: float) -> VolumeEstimate:
 def volume_estimates(cloud: PointCloud, epsilons: Iterable[float]) -> list[VolumeEstimate]:
     """:func:`volume_estimate` at each epsilon, in order, the same volumes.
 
-    The calling thread checks each scale and builds its bitmaps, where the
-    serial loop would raise the same InputError, and hands each block of the
-    ring's centers, 2**16 fine cells at most, to one worker thread, which only
-    queries the KD-tree (releasing the GIL) and counts the marked centers.
-    So the queries of one scale run while the next scale's bitmaps are built.
-    At most two blocks are live: a block waits for the worker's last one to
-    end, except on the last scale, which has no bitmaps left to build; there
-    the calling thread queries a block itself while the worker is busy. Errors
-    surface in scale order, and the worker ends before the call returns.
+    The calling thread checks each scale, where the serial loop would raise
+    the same InputError, links its near cells and builds its bitmaps, but for
+    the first scale's bitmaps: one worker thread builds those while the
+    calling thread builds the KD-tree (scipy's build releases the GIL) or
+    takes the cloud's. The calling thread then hands each block of the ring's
+    centers, 2**16 fine cells at most, to the worker, which only queries the
+    tree (releasing the GIL too) and counts the marked centers. So the queries
+    of one scale run while the next scale's bitmaps are built.
+
+    At most two blocks wait on the worker, so at most three are live: a new
+    block waits for the worker's oldest one to end, except on the last scale,
+    which has no bitmaps left to build; there the calling thread queries a
+    block itself while the worker's oldest is not done. Errors surface in
+    scale order, a bitmap error before a tree-build error, and the worker ends
+    before the call returns.
     """
     scales = []  # per scale: [epsilon, fine step h, marked cells]
-    pending = None  # (scale number, future) of the block on the worker
+    pending = []  # (scale number, future) of the blocks on the worker, oldest first
     tree = pool = None
 
     def count(centers, eps):  # the worker's task: no traced dimest function
         dist, _ = tree.query(centers, k=1, distance_upper_bound=eps * (1 + 1e-12))
         return int(np.count_nonzero(dist <= eps))
 
-    def collect():  # waits for the worker's block, if any, and adds its count
-        nonlocal pending
-        if pending is not None:
-            (i, future), pending = pending, None
-            scales[i][2] += future.result()
+    def collect():  # waits for the worker's oldest block and adds its count
+        i, future = pending.pop(0)
+        scales[i][2] += future.result()
 
     epsilons = list(epsilons)
     try:
         for i, epsilon in enumerate(epsilons):
             ring = _volume_ring(cloud, epsilon)
-            scales.append(list(next(ring)))  # checks the scale, counts its sure cells
+            next(ring)  # checks the scale and links its near cells
             if pool is None:
-                tree = _TREES.get(cloud)
-                if tree is None:  # imported here, so that importing dimest loads no scipy
-                    from scipy.spatial import cKDTree
-
-                    tree = cKDTree(cloud.points, balanced_tree=False, compact_nodes=False)
-                    _TREES[cloud] = tree
                 from concurrent.futures import ThreadPoolExecutor  # scipy.spatial loads it too
 
                 pool = ThreadPoolExecutor(1, thread_name_prefix="dimest-volume")
+                bitmaps = pool.submit(next, ring)  # beside the tree build
+                try:
+                    tree = _TREES.get(cloud)
+                    if tree is None:  # imported here, so that importing dimest loads no scipy
+                        from scipy.spatial import cKDTree
+
+                        tree = cKDTree(cloud.points, balanced_tree=False, compact_nodes=False)
+                        _TREES[cloud] = tree
+                finally:
+                    scales.append(list(bitmaps.result()))  # a bitmap error surfaces first
+            else:
+                scales.append(list(next(ring)))  # counts the sure cells
             last, eps = i == len(epsilons) - 1, scales[i][0]
             for centers in ring:
-                if last and pending is not None and not pending[1].done():
+                if last and len(pending) == 2 and not pending[0][1].done():
                     scales[i][2] += count(centers, eps)  # no bitmap left to build
                 else:
-                    collect()
-                    pending = i, pool.submit(count, centers, eps)
-                centers = None  # the next block is built beside the worker's alone
-        collect()
+                    if len(pending) == 2:
+                        collect()
+                    pending.append((i, pool.submit(count, centers, eps)))
+                centers = None  # the next block is built beside the worker's two at most
+        while pending:
+            collect()
     except BaseException:
-        collect()  # an earlier block's error surfaces first
+        while pending:
+            collect()  # an earlier block's error surfaces first
         raise
     finally:
         if pool is not None:
@@ -626,8 +641,12 @@ def volume_estimates(cloud: PointCloud, epsilons: Iterable[float]) -> list[Volum
 def _volume_ring(cloud: PointCloud, epsilon: float):
     """Checks one scale of :func:`volume_estimate` and marks its sure cells.
 
-    Yields ``(epsilon, h, sure cells)``, then the centers of the ring's fine cells
-    inside the grid, as ``(m, d)`` arrays of 2**16 cells at most.
+    Yields None once the scale is checked, its cell budget met and its near
+    cells linked; then ``(epsilon, h, sure cells)`` once its bitmaps are
+    built; then the centers of the ring's fine cells inside the grid, as
+    ``(m, d)`` arrays of 2**16 cells at most. :func:`volume_estimates` may
+    resume one scale on two threads, its bitmaps on the worker and the rest on
+    the calling thread, but never on both at once.
     """
     if len(cloud) == 0:
         raise InputError("empty point set")
@@ -665,7 +684,8 @@ def _volume_ring(cloud: PointCloud, epsilon: float):
 
     # Key near cells by their ranks among near's values on each axis, packed:
     # lexicographic, as near is, and under the budget below len(near)**d <= 2**57.
-    axes = [np.unique(col) for col in near.T]
+    # Asked for counts, np.unique sorts; without, numpy 2.4 hashes, 3x slower here.
+    axes = [np.unique(col, return_counts=True)[0] for col in near.T]
     sizes = [len(vals) for vals in axes]
     ranks = [np.searchsorted(vals, col) for col, vals in zip(near.T, axes)]
     n, keys = len(near), np.ravel_multi_index(ranks, sizes)
@@ -740,6 +760,10 @@ def _volume_ring(cloud: PointCloud, epsilon: float):
                 total |= part
         return total
 
+    # From here the first scale runs on the worker. Its links are built before:
+    # built there, their freed buffers stay in the worker's malloc arena, which
+    # raised the peak RSS of report --volume by about 0.5x its 10**5-point cloud.
+    yield
     inner, outer = volume_stencils(d, (span / h + 8) * 2.0**-50)
     sure = dilate(inner)
     marked = int(np.count_nonzero(sure))

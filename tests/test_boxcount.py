@@ -1026,6 +1026,85 @@ class TestVolumeEstimates:
             volume_estimates(cloud, epsilons)
         assert threads[0] is not threading.main_thread()
 
+    def test_first_scale_bitmaps_are_built_beside_the_tree(self, monkeypatch):
+        # np.packbits is called once a scale, by its bitmaps. The first
+        # scale's call waits for the tree build to start: it must run on the
+        # worker while the calling thread builds the tree.
+        trees, packed, building = [], [], threading.Event()
+        packbits = np.packbits
+
+        class RecordingTree(cKDTree):
+            def __init__(self, data, *args, **kwargs):
+                trees.append(threading.current_thread())
+                building.set()
+                super().__init__(data, *args, **kwargs)
+
+        def spy(*args, **kwargs):
+            packed.append((threading.current_thread().name, building.wait(5)))
+            return packbits(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", RecordingTree)
+        monkeypatch.setattr(np, "packbits", spy)
+        cloud = ifs_chaos_game(sierpinski_spec(2000, rng_seed=3))
+        assert volume_estimates(cloud, [0.1, 0.05]) == [
+            volume_estimate(cloud, eps) for eps in [0.1, 0.05]
+        ]
+        assert trees == [threading.main_thread()]
+        first, second = packed[:2]
+        assert first[0].startswith("dimest-volume") and first[1]
+        assert second[0] == threading.main_thread().name
+
+    @pytest.mark.parametrize("bitmaps_fail", [False, True], ids=["tree", "tree-and-bitmaps"])
+    def test_tree_build_error_propagates(self, monkeypatch, bitmaps_fail):
+        # The tree build fails while the worker builds the first scale's
+        # bitmaps; a bitmap error, which ends later, still surfaces first.
+        class FailingTree(cKDTree):
+            def __init__(self, *args, **kwargs):
+                raise RuntimeError("tree failed")
+
+        def failing_packbits(*args, **kwargs):
+            time.sleep(0.1)
+            raise RuntimeError("bitmaps failed")
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", FailingTree)
+        if bitmaps_fail:
+            monkeypatch.setattr(np, "packbits", failing_packbits)
+        cloud = ifs_chaos_game(sierpinski_spec(2000, rng_seed=3))
+        message = "bitmaps failed" if bitmaps_fail else "tree failed"
+        with pytest.raises(RuntimeError, match=f"^{message}$"):
+            volume_estimates(cloud, [0.1, 0.05])
+        assert [t.name for t in threading.enumerate() if t.name.startswith("dimest-volume")] == []
+
+    def test_at_most_two_blocks_wait_on_the_worker(self, monkeypatch):
+        # np.unpackbits is called once a block, on the calling thread, as the
+        # block is built. The worker's first query waits until three blocks
+        # are built: two on the worker and one waiting for room. A fourth must
+        # not be built until that query ends.
+        built, third, seen = [], threading.Event(), []
+        unpackbits = np.unpackbits
+
+        def spy(*args, **kwargs):
+            built.append(threading.current_thread())
+            if len(built) == 3:
+                third.set()
+            return unpackbits(*args, **kwargs)
+
+        class StalledTree(cKDTree):
+            def query(self, *args, **kwargs):
+                if not seen:
+                    seen.append(third.wait(5))
+                    time.sleep(0.2)  # time to build a fourth block, were it allowed
+                    seen.append(len(built))
+                return super().query(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", StalledTree)
+        monkeypatch.setattr(np, "unpackbits", spy)
+        cloud = ifs_chaos_game(sierpinski_spec(5000, rng_seed=1))
+        volume_estimates(cloud, [0.004, 0.1])  # 0.004: several blocks, all on the worker
+        assert seen == [True, 3]
+        assert len(built) > 4
+        assert set(built) == {threading.main_thread()}
+
     def test_no_epsilon_no_work(self, monkeypatch):
         def no_tree(*args, **kwargs):
             raise AssertionError("KD-tree built for no scale")

@@ -24,9 +24,11 @@ rows give the peak of ``load_points_csv`` alone on the orbit's CSV, as
 written or rewritten, while np.loadtxt read the lines of 64 KiB pieces (or
 the whole-file parser read a file with a skipped line, a lone b"\\r" or a
 non-ASCII comment: "was") and since np.loadtxt reads the checked file itself
-("now"). The ``count --histogram`` and ``generate`` rows, added later, give
-the peak they were set from alone; ``generate`` writes its cloud instead of
-reading one.
+("now"). The ``count --histogram``, ``generate`` and ``report --kmin 0
+--kmax 40`` rows, added later, give the peak they were set from alone;
+``generate`` writes its cloud instead of reading one. The volume rows' "now"
+was measured again, over repeated runs, once the first scale's bitmaps were
+built beside the KD-tree and two query blocks could wait on the worker.
 """
 
 from __future__ import annotations
@@ -91,11 +93,12 @@ def clouds(tmp_path_factory):
 LEDGER = [
     (["count", "--epsilons", EXPLICIT], "orbit", 2.5),  # 3.54 -> 2.02
     (["report", "--epsilons", EXPLICIT], "orbit", 2.5),  # 3.54 -> 2.02
-    (["report", "--volume", "--epsilons", VOLUME], "orbit", 4.5),  # 5.52 -> 3.77
-    (["report", "--volume", "--epsilons", VOLUME], "sierpinski", 5.5),  # 9.44 -> 4.64
+    (["report", "--volume", "--epsilons", VOLUME], "orbit", 4.5),  # 5.52 -> 3.89-3.94
+    (["report", "--volume", "--epsilons", VOLUME], "sierpinski", 5.5),  # 9.44 -> 4.76-4.85
     (["report", "--kmin", "3", "--kmax", "7"], "orbit", 2.5),  # control: 2.01 -> 2.01
     # k = 3..7; 3.05 when it is the first CSV read in the process.
     (["count", "--histogram", "{tmp}/histogram.json"], "orbit", 3.5),  # 3.02
+    (["report", "--kmin", "0", "--kmax", "40"], "orbit", 8.0),  # 7.02
 ]
 
 
@@ -109,6 +112,7 @@ LEDGER = [
         "volume-sierpinski",
         "report-k3-7",
         "count-histogram",
+        "report-k0-40",
     ],
 )
 def test_command_peak(tmp_path, clouds, argv, name, bound):
@@ -160,7 +164,7 @@ def test_volume_estimates_peak_on_a_fresh_cloud(clouds):
     cloud = PointCloud(clouds["sierpinski"][0].points)
     scales = [float(e) for e in VOLUME.split(",")]
     peak = traced_peak(lambda: volume_estimates(cloud, scales))
-    assert peak < 4.5 * cloud.points.nbytes  # 3.60 -> 3.61-3.66
+    assert peak < 4.5 * cloud.points.nbytes  # 3.60 -> 3.72-3.80
 
 
 def with_mid_comment(data: bytes) -> bytes:
@@ -223,4 +227,4 @@ def test_volume_report_resident_peak(tmp_path, clouds):
     assert proc.returncode == 0, proc.stderr
     code, before, after = map(int, proc.stdout.split())
     assert code == 0
-    assert (after - before) * 1024 < 8.5 * cloud.points.nbytes  # 7.03-7.16 -> 7.25-7.46
+    assert (after - before) * 1024 < 8.5 * cloud.points.nbytes  # 7.03-7.16 -> 7.32-7.72
