@@ -10,9 +10,10 @@ Two independent routes to the same dimension:
   up to ``VOLUME_MAX_CELLS`` (``volume_estimate`` / ``volume_estimates`` /
   ``volume_dimension``). Euclidean stencils around the occupied fine cells
   settle most of them; only the ring the stencils leave undecided is queried
-  on a KD-tree. The tree is built on the calling thread while one worker
-  thread builds the first scale's bitmaps; the ring is then queried mostly on
-  that worker, while the next scale's bitmaps are built.
+  on a KD-tree, one a ``volume_estimates`` call. The tree is built on the
+  calling thread while one worker thread builds the first scale's bitmaps;
+  the ring is then queried mostly on that worker, while the next scale's
+  bitmaps are built.
 
 For a set of dimension s in R^d the occupied count grows like eps**-s while
 the neighborhood volume shrinks like eps**(d-s), so the two estimators agree
@@ -50,13 +51,13 @@ histograms are, from an index array freed after the finest merge, and the
 keys of the coarser scales are then built from the points again. Other
 schedules, negative k among them (where ``y / 2**-k`` can round a tiny
 negative ``y`` to -0.0), count each scale in a one-scale pass, which shifts
-nothing; their histograms index every scale.
+nothing, with histograms or without.
 
 Each scale's count n(eps) and entropy S(eps) (``occupancy_entropy``) are
 taken as the pass reaches it, and each cloud keeps only these scalars of its
 last pass, so ``count_series`` then ``entropy_series`` index the points once.
-Histograms are built, and kept with the scalars, only when
-``occupancy_series`` asks for them.
+Histograms are built only when ``occupancy_series`` asks for them, and only
+its caller holds them.
 """
 
 from __future__ import annotations
@@ -94,13 +95,8 @@ VOLUME_MAX_DIM = 3
 # over 6x the 5.3e6 of a 10**6-point Henon orbit at epsilon = 2**-12.
 VOLUME_MAX_CELLS = 1 << 25
 
-# The volume KD-tree of each cloud: immutable and hashed by identity, a cloud
-# cannot outdate its tree, which is freed with it.
-_TREES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-# The last occupancy pass of each cloud, keyed by anchor and schedule: its
-# counts and entropies, and its histograms once occupancy_series asked for
-# them; freed with the cloud.
+# The counts and entropies of each cloud's last occupancy pass, keyed by
+# anchor and schedule; freed with the cloud.
 _PASSES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 # Points indexed at a time while their Z-order keys are built; a chunk's
@@ -258,7 +254,7 @@ def _run_starts(*cols: np.ndarray) -> np.ndarray:
 
 
 def count_boxes(cloud: PointCloud, grid: GridSpec) -> tuple[int, OccupancyHistogram]:
-    """Occupied-cell count and per-cell histogram of a cloud on one grid."""
+    """Occupied-cell count and per-cell histogram of a cloud on one grid, indexed directly."""
     if len(cloud) == 0:
         raise InputError("empty point set")
     idx = box_indices(grid, cloud.points)
@@ -403,36 +399,27 @@ def _dyadic_scales(cloud: PointCloud, resolved: np.ndarray, schedule: ScaleSched
         yield i, counts, None
 
 
-def _each_scale(cloud: PointCloud, resolved: np.ndarray, epsilons: np.ndarray, rows: bool):
-    """(scale number, cell counts, index rows or None) of each scale counted from the points."""
-    for i, eps in enumerate(epsilons):
-        if rows:
-            hist = count_boxes(cloud, GridSpec(resolved, eps))[1]
-            yield i, hist.counts, hist.indices
-        else:  # a one-scale pass on chunked keys, which shifts nothing
-            one = ScaleSchedule([eps], [0.0])
-            yield i, next(_dyadic_scales(cloud, resolved, one, False))[1], None
-
-
 def _occupancy(cloud: PointCloud, schedule: ScaleSchedule, resolved: np.ndarray, histograms: bool):
     """Counts, entropies and (if asked for, else None) histograms of one pass.
 
-    Each cloud keeps its last pass; a later call with the same resolved
-    anchor and schedule reuses it unless it asks for histograms the pass
-    did not build. Clouds and schedules are immutable, so a kept pass cannot
+    Each cloud keeps the counts and entropies of its last pass; a later call
+    with the same resolved anchor and schedule that asks for no histograms
+    reuses them. Clouds and schedules are immutable, so a kept pass cannot
     be outdated.
     """
     key = (resolved.tobytes(), schedule.ks.tobytes(), schedule.epsilons.tobytes())
     kept = _PASSES.get(cloud)
-    if kept is not None and kept[0] == key and (kept[3] is not None or not histograms):
-        return kept[1:]
+    if not histograms and kept is not None and kept[0] == key:
+        return kept[1], kept[2], None
     if len(cloud) == 0:
         raise InputError("empty point set")
     ks, epsilons = schedule.ks, schedule.epsilons
     if np.all(ks == np.floor(ks)) and np.all(ks >= 0) and np.array_equal(epsilons, 2.0**-ks):
         scales = _dyadic_scales(cloud, resolved, schedule, histograms)
-    else:
-        scales = _each_scale(cloud, resolved, epsilons, histograms)
+    else:  # each scale in a one-scale pass, which shifts nothing
+        ones = [ScaleSchedule([eps], [0.0]) for eps in epsilons]
+        passes = (_dyadic_scales(cloud, resolved, one, histograms) for one in ones)
+        scales = ((i, *next(one)[1:]) for i, one in enumerate(passes))
     n = len(schedule)
     counts, bits, hists = np.empty(n, dtype=np.int64), np.empty(n), [None] * n
     for i, cell_counts, cells in scales:
@@ -441,8 +428,8 @@ def _occupancy(cloud: PointCloud, schedule: ScaleSchedule, resolved: np.ndarray,
             hists[i] = OccupancyHistogram(float(epsilons[i]), cells, cell_counts, len(cloud))
     counts.setflags(write=False)
     bits.setflags(write=False)
-    kept = _PASSES[cloud] = (key, counts, bits, tuple(hists) if histograms else None)
-    return kept[1:]
+    _PASSES[cloud] = (key, counts, bits)
+    return counts, bits, hists if histograms else None
 
 
 def occupancy_series(
@@ -458,25 +445,20 @@ def occupancy_series(
     fit a Z-order key: ``count_series`` and ``entropy_series`` build their
     keys a chunk of points at a time, one scale at a time on other schedules.
 
-    The histograms are kept with the counts and entropies while the cloud
-    lives, so a second call with the same resolved anchor and schedule
-    returns the same immutable histograms in a new list, and a
-    ``count_series`` or ``entropy_series`` after it reuses the pass. They
-    hold d + 1 int64s per cell of every scale until the cloud is freed or a
-    pass with another anchor or schedule replaces them: at ``dyadic(0, 40)``,
-    2.9e6 cells or 69.8 MB for a 10**5-point Henon orbit and 634 MB for
-    10**6 points (``tracemalloc``).
+    Every call builds new histograms, which only the returned list holds;
+    the cloud keeps the pass's counts and entropies, so a ``count_series``
+    or ``entropy_series`` after it with the same resolved anchor and
+    schedule reuses the pass.
     """
-    resolved = resolve_anchor(cloud, anchor)
-    return list(_occupancy(cloud, schedule, resolved, histograms=True)[2])
+    return _occupancy(cloud, schedule, resolve_anchor(cloud, anchor), histograms=True)[2]
 
 
 def occupancy_scalars(cloud: PointCloud, schedule: ScaleSchedule, anchor=None) -> tuple:
     """Occupied counts n(eps) and entropies S(eps) in bits over the schedule.
 
     Both come from one occupancy pass, of which each cloud keeps only these
-    per-scale scalars (the histograms only after :func:`occupancy_series`):
-    a second call with the same resolved anchor and schedule indexes nothing.
+    per-scale scalars, also after :func:`occupancy_series`: a second call
+    with the same resolved anchor and schedule indexes nothing.
     The entropies are :func:`occupancy_entropy` of each scale's cell counts.
     """
     counts, bits, _ = _occupancy(cloud, schedule, resolve_anchor(cloud, anchor), histograms=False)
@@ -550,16 +532,17 @@ def volume_estimate(cloud: PointCloud, epsilon: float) -> VolumeEstimate:
     extend one chain. At most three bitmaps are live: the sure cells wait 8
     to a byte while the reach is dilated.
 
-    The one KD-tree per cloud is unbalanced with loose node boxes, the cheaper
+    The KD-tree, one a call, is unbalanced with loose node boxes, the cheaper
     build. ``dist <= epsilon`` depends only on per-pair distances, alike in any
     tree: the bound epsilon * (1 + 1e-12) keeps a pair at exactly epsilon, and
     a node is pruned only if its lower bound, off by rounding far under that
     slack, exceeds the bound or the best pair found. So trees differ only if a
     best pair a rounding error past epsilon hides one within it. The tree is
-    built on the calling thread, on first use, once the first scale is checked
-    and while one worker thread builds that scale's bitmaps; the ring is
-    queried on it a block at a time, mostly on that worker
-    (:func:`volume_estimates`).
+    built on the calling thread once the first scale is checked and while one
+    worker thread builds that scale's bitmaps; the ring is queried on it a
+    block at a time, mostly on that worker (:func:`volume_estimates`). So a
+    loop of calls on one cloud builds a tree each; :func:`volume_estimates`
+    builds one for all its scales.
     """
     return volume_estimates(cloud, [epsilon])[0]
 
@@ -570,11 +553,12 @@ def volume_estimates(cloud: PointCloud, epsilons: Iterable[float]) -> list[Volum
     The calling thread checks each scale, where the serial loop would raise
     the same InputError, links its near cells and builds its bitmaps, but for
     the first scale's bitmaps: one worker thread builds those while the
-    calling thread builds the KD-tree (scipy's build releases the GIL) or
-    takes the cloud's. The calling thread then hands each block of the ring's
-    centers, 2**16 fine cells at most, to the worker, which only queries the
-    tree (releasing the GIL too) and counts the marked centers. So the queries
-    of one scale run while the next scale's bitmaps are built.
+    calling thread builds the KD-tree (scipy's build releases the GIL). The
+    calling thread then hands each block of the ring's centers, 2**16 fine
+    cells at most, to the worker, which only queries the tree (releasing the
+    GIL too) and counts the marked centers. So the queries of one scale run
+    while the next scale's bitmaps are built. The tree is the call's own,
+    freed when it returns.
 
     At most two blocks wait on the worker, so at most three are live: a new
     block waits for the worker's oldest one to end, except on the last scale,
@@ -605,13 +589,10 @@ def volume_estimates(cloud: PointCloud, epsilons: Iterable[float]) -> list[Volum
 
                 pool = ThreadPoolExecutor(1, thread_name_prefix="dimest-volume")
                 bitmaps = pool.submit(next, ring)  # beside the tree build
-                try:
-                    tree = _TREES.get(cloud)
-                    if tree is None:  # imported here, so that importing dimest loads no scipy
-                        from scipy.spatial import cKDTree
+                try:  # imported here, so that importing dimest loads no scipy
+                    from scipy.spatial import cKDTree
 
-                        tree = cKDTree(cloud.points, balanced_tree=False, compact_nodes=False)
-                        _TREES[cloud] = tree
+                    tree = cKDTree(cloud.points, balanced_tree=False, compact_nodes=False)
                 finally:
                     scales.append(list(bitmaps.result()))  # a bitmap error surfaces first
             else:

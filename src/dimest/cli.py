@@ -17,6 +17,7 @@ numerical/degenerate-fit error; errors are single lines on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -26,7 +27,7 @@ from . import __version__
 from .boxcount import count_series, occupancy_series, volume_estimates
 from .errors import InputError, NumericalError
 from .estimation import build_report
-from .fileio import atomic_write_text, load_points_csv, save_points_csv
+from .fileio import atomic_open, load_points_csv, save_points_csv
 from .generators import (
     HenonParams,
     cantor_points,
@@ -152,11 +153,13 @@ def _resolve_schedule(args) -> ScaleSchedule:
     return ScaleSchedule.dyadic(args.kmin, args.kmax)
 
 
-def _emit(text: str, path) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        atomic_write_text(path, text)
+def _emit(*outputs) -> None:
+    """Write each ``(text, path)``: every file opened first, stdout (path None) last."""
+    with contextlib.ExitStack() as stack:
+        files = [(stack.enter_context(atomic_open(p)), t) for t, p in outputs if p is not None]
+        for handle, text in files:
+            handle.write(text)
+    sys.stdout.write("".join(text for text, path in outputs if path is None))
 
 
 # kind -> (cloud from the flags, provenance after "dimest generate <kind>"). Names
@@ -196,7 +199,7 @@ def _cmd_count(args) -> int:
     series = count_series(cloud, schedule, anchor)
     lines = ["k,epsilon,count"]
     lines += [f"{_fmt_k(k)},{_fmt(e)},{c}" for k, e, c in series.entries]
-    _emit("\n".join(lines) + "\n", args.out)
+    outputs = [("\n".join(lines) + "\n", args.out)]
     if hists is not None:
         scales = []
         for k, hist in zip(schedule.ks, hists):
@@ -211,7 +214,8 @@ def _cmd_count(args) -> int:
                 }
             )
         dump = {"anchor": [float(a) for a in series.anchor], "scales": scales}
-        atomic_write_text(args.histogram, json.dumps(dump, indent=2) + "\n")
+        outputs.append((json.dumps(dump, indent=2) + "\n", args.histogram))
+    _emit(*outputs)
     return EXIT_OK
 
 
@@ -222,7 +226,7 @@ def _cmd_entropy(args) -> int:
         f"{_fmt_k(k)},{_fmt(e)},{n},{_fmt(s)}"
         for k, (e, s, n) in zip(series.ks, series.entries)
     ]
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(("\n".join(lines) + "\n", args.out))
     return EXIT_OK
 
 
@@ -254,7 +258,7 @@ def _cmd_report(args) -> int:
         gap_threshold=args.gap_threshold,
         config=config,
     )
-    _emit(report.to_json(), args.json_out)
+    _emit((report.to_json(), args.json_out))
     return EXIT_OK
 
 

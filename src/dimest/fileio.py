@@ -33,6 +33,7 @@ itself; the bytes are the same with or without it.
 from __future__ import annotations
 
 import contextlib
+import errno
 import io
 import itertools
 import operator
@@ -47,7 +48,7 @@ import numpy as np
 from .errors import InputError
 from .geometry import PointCloud
 
-__all__ = ["load_points_csv", "save_points_csv", "atomic_write_text"]
+__all__ = ["load_points_csv", "save_points_csv", "atomic_open", "atomic_write_text"]
 
 # The bytes of the rows save_points_csv writes, their line breaks included.
 _ROW_BYTES = b"0123456789+-.eE,\n"
@@ -112,19 +113,28 @@ def _csv_pieces(points: np.ndarray, comments: Sequence[str] = ()):
 
 
 @contextlib.contextmanager
-def _atomic_open(path):
+def atomic_open(path):
     """A text handle on a temp file in ``path``'s directory, renamed onto it on success.
 
     The file gets the mode a plain ``open(path, "w")`` would: 0o666 & ~umask.
+    Failing to make or rename the temp file is an InputError naming ``path``.
     """
     target = Path(path)
     tmp = f"{target}.{os.urandom(6).hex()}"
-    # O_EXCL never opens an existing file or link; the kernel applies the umask.
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        if target.is_dir():  # else refused only by the rename, once another output is written
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        # O_EXCL never opens an existing file or link; the kernel applies the umask.
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             yield handle
-        os.replace(tmp, target)
+        try:
+            os.replace(tmp, target)
+        except OSError as exc:
+            raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
     except BaseException:
         try:
             os.unlink(tmp)
@@ -134,8 +144,8 @@ def _atomic_open(path):
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write ``text`` to ``path`` via a temp file + rename, as ``_atomic_open`` does."""
-    with _atomic_open(path) as handle:
+    """Write ``text`` to ``path`` via a temp file + rename, as :func:`atomic_open` does."""
+    with atomic_open(path) as handle:
         handle.write(text)
 
 
@@ -196,7 +206,7 @@ def save_points_csv(cloud: PointCloud, path, comments: Sequence[str] = ()) -> No
     helper = _start_helper(points[n - n // 2 :], path) if wanted else None
     try:
         split = n if helper is None else n - n // 2
-        with _atomic_open(path) as handle:
+        with atomic_open(path) as handle:
             handle.writelines(_csv_pieces(points[:split], comments))
             if helper is not None and not _copy_helper_rows(helper, handle):
                 handle.writelines(_csv_pieces(points[split:]))

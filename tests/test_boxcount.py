@@ -250,19 +250,6 @@ def assert_same_histograms(got, expected):
         assert g.counts.tobytes() == e.counts.tobytes()
 
 
-@pytest.fixture
-def count_boxes_calls(monkeypatch):
-    calls = []
-    original = dimest.boxcount.count_boxes
-
-    def spy(cloud, grid):
-        calls.append(grid.epsilon)
-        return original(cloud, grid)
-
-    monkeypatch.setattr(dimest.boxcount, "count_boxes", spy)
-    return calls
-
-
 def draw_cloud_and_anchor(draw, units):
     """A cloud (d = 1..3, duplicates) of coordinates in [-8, 8] * unit, and an anchor."""
     d = draw(st.integers(min_value=1, max_value=3))
@@ -327,7 +314,7 @@ class TestDyadicHierarchy:
     """Dyadic schedules count once at the finest scale and shift-merge upward."""
 
     @settings(max_examples=300, deadline=None)
-    @given(case=dyadic_cases())
+    @given(case=st.one_of(dyadic_cases(), explicit_cases()))
     def test_matches_per_scale_bit_for_bit(self, case):
         cloud, anchor, schedule = case
         try:
@@ -363,10 +350,11 @@ class TestDyadicHierarchy:
             ScaleSchedule(epsilons=np.array([0.5, 0.25]), ks=np.array([1.5, 2.5])),
         ],
     )
-    def test_other_schedules_count_every_scale(self, count_boxes_calls, schedule):
+    def test_other_schedules_count_every_scale(self, box_indices_calls, schedule):
+        # Each scale is a one-scale pass: the whole cloud indexed once at it.
         cloud = ifs_chaos_game(sierpinski_spec(5000, rng_seed=1))
         hists = occupancy_series(cloud, schedule)
-        assert count_boxes_calls == list(schedule.epsilons)
+        assert box_indices_calls == list(schedule.epsilons)
         assert_same_histograms(hists, per_scale(cloud, schedule))
 
     def test_negative_k_keeps_per_scale_rounding(self):
@@ -505,16 +493,19 @@ class TestScalarPass:
             ]
             assert entropy_series(fresh, schedule, anchor).entropy_bits.tobytes() == bits.tobytes()
 
-    def test_histograms_after_counts_match_and_are_kept(self, box_indices_calls):
+    def test_histograms_after_counts_match_and_are_not_kept(self, box_indices_calls):
         cloud = ifs_chaos_game(sierpinski_spec(5000, rng_seed=6))
         schedule = SHARED_SCHEDULES[0]
         counts = count_series(cloud, schedule)
         hists = occupancy_series(cloud, schedule)  # the kept scalars hold no histograms
         assert len(box_indices_calls) == 2
         assert counts.counts.tolist() == [h.occupied for h in hists]
-        entropy_series(cloud, schedule)
-        assert all(a is b for a, b in zip(occupancy_series(cloud, schedule), hists))
+        entropy_series(cloud, schedule)  # the histogram pass kept its scalars
         assert len(box_indices_calls) == 2
+        again = occupancy_series(cloud, schedule)
+        assert len(box_indices_calls) == 3
+        assert not any(a is b for a, b in zip(again, hists))
+        assert_same_histograms(again, hists)
 
 
 class TestKeyChunks:
@@ -619,7 +610,7 @@ class TestKeyWidth:
 
 
 class TestSharedPass:
-    """Each cloud keeps its last histograms, so counts and entropy share a pass."""
+    """Each cloud keeps its last pass's counts and entropies, so counts and entropy share a pass."""
 
     @pytest.mark.parametrize("schedule, scans", zip(SHARED_SCHEDULES, [1, 3]))
     @pytest.mark.parametrize("anchor", [None, [0.0, 0.0]])
@@ -633,17 +624,17 @@ class TestSharedPass:
 
     @pytest.mark.parametrize("schedule", SHARED_SCHEDULES)
     def test_hit_equals_fresh_pass_on_twin_cloud(self, box_indices_calls, schedule):
+        # The histogram pass keeps its scalars: a count_series after it with
+        # the same resolved anchor indexes nothing and equals a fresh pass.
         cloud = ifs_chaos_game(sierpinski_spec(5000, rng_seed=2))
-        first = occupancy_series(cloud, schedule)
+        occupancy_series(cloud, schedule)
         calls = len(box_indices_calls)
-        hit = occupancy_series(cloud, schedule, anchor=cloud.points.min(axis=0))
+        hit = count_series(cloud, schedule, anchor=cloud.points.min(axis=0))
         assert len(box_indices_calls) == calls
-        assert all(h is f for h, f in zip(hit, first))
-        fresh = occupancy_series(PointCloud(cloud.points), schedule)
-        assert len(box_indices_calls) == 2 * calls
-        for h, f in zip(hit, fresh, strict=True):
-            assert h.indices.tolist() == f.indices.tolist()
-            assert h.counts.tolist() == f.counts.tolist()
+        fresh = count_series(PointCloud(cloud.points), schedule)
+        assert len(box_indices_calls) > calls
+        assert hit.counts.tobytes() == fresh.counts.tobytes()
+        assert hit.anchor.tobytes() == fresh.anchor.tobytes()
 
     def test_other_schedule_or_anchor_recomputes(self, box_indices_calls):
         cloud = ifs_chaos_game(sierpinski_spec(5000, rng_seed=3))
@@ -654,7 +645,7 @@ class TestSharedPass:
             (explicit, None),
             (explicit, [0.0, 0.0]),
             (relabelled, [0.0, 0.0]),  # same labels, other scales
-            (dyadic, None),  # only the last result is kept
+            (dyadic, None),  # histograms are never kept
         ]
         for schedule, anchor in cases:
             calls = len(box_indices_calls)
@@ -673,14 +664,14 @@ class TestSharedPass:
         assert again is not first
         assert_same_histograms(again, expected)
 
-    def test_histograms_freed_with_cloud(self):
+    def test_histograms_freed_while_the_cloud_lives(self):
+        # The cloud keeps its pass's scalars; only the returned list holds the histograms.
         cloud = ifs_chaos_game(sierpinski_spec(5000, rng_seed=5))
-        ref = weakref.ref(occupancy_series(cloud, SHARED_SCHEDULES[0])[0])
-        gc.collect()
-        assert ref() is not None
-        del cloud
-        gc.collect()
-        assert ref() is None
+        for schedule in SHARED_SCHEDULES:
+            hists = occupancy_series(cloud, schedule)
+            refs = [weakref.ref(h) for h in hists] + [weakref.ref(h.indices) for h in hists]
+            del hists
+            assert all(ref() is None for ref in refs)
 
 
     def test_counts_and_entropy_keep_only_scalars(self):
@@ -786,14 +777,14 @@ class TestVolumeEstimate:
     )
     @settings(max_examples=150, deadline=None)
     def test_several_epsilons_on_one_cloud_match_full_grid(self, case, factors, position):
-        # One cloud object, so every estimate after the first reuses its tree.
+        # One volume_estimates call, so every scale queries the first's tree.
         cloud, eps = case
         epsilons = [eps * f for f in factors]
         epsilons.insert(position % (len(epsilons) + 1), eps)
-        for e in epsilons:
-            assert volume_estimate(cloud, e).volume == _full_grid_volume(cloud, e)
+        for e, est in zip(epsilons, volume_estimates(cloud, epsilons), strict=True):
+            assert est.volume == _full_grid_volume(cloud, e)
 
-    def test_one_tree_per_cloud_freed_with_it(self, monkeypatch):
+    def test_one_tree_per_call_freed_when_it_returns(self, monkeypatch):
         built = []
 
         class CountingTree(cKDTree):
@@ -805,13 +796,10 @@ class TestVolumeEstimate:
         cloud = ifs_chaos_game(sierpinski_spec(2000, rng_seed=4))
         volume_dimension(cloud, ScaleSchedule.dyadic(2, 5))
         assert len(built) == 1
-        twin = PointCloud(cloud.points)
+        assert built[0]() is None  # while the cloud lives
         for eps in (0.2, 0.1):
-            assert volume_estimate(twin, eps) == volume_estimate(cloud, eps)
-        assert len(built) == 2
-        assert all(ref() is not None for ref in built)
-        del cloud, twin
-        gc.collect()
+            assert volume_estimate(PointCloud(cloud.points), eps) == volume_estimate(cloud, eps)
+        assert len(built) == 5
         assert all(ref() is None for ref in built)
 
     def test_far_apart_points_stay_cheap(self):
@@ -940,17 +928,14 @@ class TestVolumeEstimates:
         st.one_of(volume_cases(), lattice_volume_cases()),
         st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0, 4.0]), max_size=3),
         st.integers(0, 3),
-        st.booleans(),
     )
     @settings(max_examples=200, deadline=None)
-    def test_match_one_estimate_per_epsilon(self, case, factors, position, cached):
+    def test_match_one_estimate_per_epsilon(self, case, factors, position):
         # 1 to 4 scales, the drawn one among them, duplicates allowed; halving
         # epsilon near the coordinate-range guard refuses a later scale.
         cloud, eps = case
         epsilons = [eps * f for f in factors]
         epsilons.insert(position % (len(epsilons) + 1), eps)
-        if cached:
-            volume_estimate(cloud, eps)  # builds the cloud's tree
         got = _outcome(lambda: volume_estimates(cloud, epsilons))
         assert got == _outcome(lambda: [volume_estimate(cloud, e) for e in epsilons])
 
@@ -1049,7 +1034,8 @@ class TestVolumeEstimates:
         assert volume_estimates(cloud, [0.1, 0.05]) == [
             volume_estimate(cloud, eps) for eps in [0.1, 0.05]
         ]
-        assert trees == [threading.main_thread()]
+        # One tree a call: the two volume_estimate calls build their own.
+        assert trees == [threading.main_thread()] * 3
         first, second = packed[:2]
         assert first[0].startswith("dimest-volume") and first[1]
         assert second[0] == threading.main_thread().name

@@ -237,6 +237,60 @@ def test_missing_input_is_exit_one(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+NO_DIR, IS_DIR = "No such file or directory", "Is a directory"
+
+
+@pytest.mark.parametrize(
+    "out, histogram, bad, reason",
+    [
+        ("missing/c.csv", "h.json", "missing/c.csv", NO_DIR),
+        ("c.csv", "missing/h.json", "missing/h.json", NO_DIR),
+        ("adir", "h.json", "adir", IS_DIR),
+        ("c.csv", "adir", "adir", IS_DIR),
+        (None, "missing/h.json", "missing/h.json", NO_DIR),
+        (None, "adir", "adir", IS_DIR),
+    ],
+    ids=["out-missing", "histogram-missing", "out-dir", "histogram-dir", "stdout", "stdout-dir"],
+)
+def test_count_output_that_cannot_be_written_leaves_no_output(
+    tmp_path, monkeypatch, capsys, out, histogram, bad, reason
+):
+    # Both temp files are opened before either is written, stdout after both.
+    (tmp_path / "tiny.csv").write_text("0.1,0.2\n0.5,0.7\n0.9,0.1\n")
+    (tmp_path / "adir").mkdir()
+    monkeypatch.chdir(tmp_path)
+    argv = ["count", "--in", "tiny.csv", "--kmin", "1", "--kmax", "3", "--histogram", histogram]
+    assert run(argv + (["--out", out] if out else [])) == 1
+    assert capsys.readouterr() == ("", f"dimest: error: cannot write {bad}: {reason}\n")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir", "tiny.csv"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "segment", "--samples", "100", "--out"],
+        ["count", "--in", "{src}", "--out"],
+        ["count", "--in", "{src}", "--histogram"],
+        ["report", "--in", "{src}", "--json"],
+    ],
+    ids=["generate", "count", "histogram", "report"],
+)
+@pytest.mark.parametrize(
+    "bad, reason", [("missing/out", NO_DIR), ("adir", IS_DIR)], ids=["missing", "dir"]
+)
+def test_write_error_names_the_given_path(tmp_path, capsys, argv, bad, reason):
+    # Not the temp file, whose name is random: two runs print the same line.
+    src, target = tmp_path / "seg.csv", tmp_path / bad
+    run(["generate", "segment", "--samples", "1000", "--out", str(src)])
+    (tmp_path / "adir").mkdir()
+    errors = []
+    for _ in range(2):
+        assert run([arg.format(src=src) for arg in argv] + [str(target)]) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors == [f"dimest: error: cannot write {target}: {reason}\n"] * 2
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir", "seg.csv"]
+
+
 def test_unknown_flag_is_exit_one(capsys):
     assert run(["count", "--in", "x.csv", "--frobnicate"]) == 1
     assert "error" in capsys.readouterr().err

@@ -99,6 +99,18 @@ def test_atomic_write_replaces_existing(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
+def test_failed_rename_names_the_path_and_removes_the_temp_file(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied", src, dst)
+
+    monkeypatch.setattr(os, "replace", refuse)
+    path = tmp_path / "out.txt"
+    message = f"cannot write {path}: Permission denied"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        atomic_write_text(path, "new")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_serialization_full_precision():
     value = 0.1 + 0.2  # not representable prettily
     cloud = PointCloud(np.array([[value]]))

@@ -144,9 +144,9 @@ def test_generate_peak(tmp_path, argv, bound):
 
 
 def test_volume_estimate_peak_after_the_tree(clouds):
-    # The first call builds the cloud's KD-tree; the second is measured.
+    # The call builds its own KD-tree, whose index array tracemalloc counts,
+    # and frees it when it returns.
     cloud = clouds["sierpinski"][0]
-    volume_estimate(cloud, 0.004)
     peak = traced_peak(lambda: volume_estimate(cloud, 0.004))
     assert peak < 4 * cloud.points.nbytes  # 7.42 -> 3.10
 
@@ -160,7 +160,7 @@ def test_explicit_scalar_pass_peak(clouds):
 
 
 def test_volume_estimates_peak_on_a_fresh_cloud(clouds):
-    # The four benchmark scales on a cloud with no tree yet: the first builds it.
+    # The four benchmark scales in one call, which builds one tree for them.
     cloud = PointCloud(clouds["sierpinski"][0].points)
     scales = [float(e) for e in VOLUME.split(",")]
     peak = traced_peak(lambda: volume_estimates(cloud, scales))
