@@ -8,12 +8,15 @@ Two independent routes to the same dimension:
   fine-grid cells whose centers lie within epsilon of a point; only cells
   next to occupied ones are examined, so the cost follows the occupied cells,
   up to ``VOLUME_MAX_CELLS`` (``volume_estimate`` / ``volume_estimates`` /
-  ``volume_dimension``). Euclidean stencils around the occupied fine cells
-  settle most of them; only the ring the stencils leave undecided is queried
-  on a KD-tree, one a ``volume_estimates`` call. The tree is built on the
-  calling thread while one worker thread builds the first scale's bitmaps;
-  the ring is then queried mostly on that worker, while the next scale's
-  bitmaps are built.
+  ``volume_dimension``). Each occupied fine cell is one sorted int64 key,
+  its coarse cell (side epsilon) numbered over the cloud's padded span and
+  then its place there, built a chunk of points at a time, so the near
+  coarse cells and their links are binary searches, not index rows.
+  Euclidean stencils around the occupied fine cells settle most of them;
+  only the ring the stencils leave undecided is queried on a KD-tree, one a
+  ``volume_estimates`` call. The tree is built on the calling thread while
+  one worker thread builds the first scale's bitmaps; the ring is then
+  queried mostly on that worker, while the next scale's bitmaps are built.
 
 For a set of dimension s in R^d the occupied count grows like eps**-s while
 the neighborhood volume shrinks like eps**(d-s), so the two estimators agree
@@ -251,6 +254,12 @@ def _run_starts(*cols: np.ndarray) -> np.ndarray:
     for col in cols[1:]:
         starts[1:] |= col[1:] != col[:-1]
     return np.flatnonzero(starts)
+
+
+def _sorted_unique(values: np.ndarray, kind=None) -> np.ndarray:
+    """The distinct values of a 1-D array, ascending; sorts ``values`` in place."""
+    values.sort(kind=kind)
+    return values[_run_starts(values)]
 
 
 def count_boxes(cloud: PointCloud, grid: GridSpec) -> tuple[int, OccupancyHistogram]:
@@ -506,6 +515,15 @@ def volume_estimate(cloud: PointCloud, epsilon: float) -> VolumeEstimate:
     as for an epsilon whose grid or volume would overflow a float, or whose
     cell volume ``h**d`` underflows to 0.
 
+    The fine cells are keyed without an index array of the whole cloud: a
+    point's key is the C-order number of its coarse cell in the cloud's
+    coarse span (from the bounding-box corners, padded by two cells a side)
+    times ``4**d``, plus its fine cell's place in the coarse cell. The keys
+    are built ``_KEY_ROWS`` points at a time and sorted once; the near cells
+    grow from their coarse cells by each axis's stride, and a neighbor or a
+    bitmap row is a binary search. A span whose keys would reach 2**63 keys
+    the near cells' rows by rank among each axis's values and those one off.
+
     A point of fine cell f is within (|delta_i| + 1/2) h of the center of
     f + delta on each axis, and at least max(0, |delta_i| - 1/2) h from it.
     Rounding widens both by mu cells an axis (which moves their norms by mu
@@ -655,42 +673,85 @@ def _volume_ring(cloud: PointCloud, epsilon: float):
     if cell == 0:  # h under about 1.6e-162 at d = 2, 1.4e-108 at d = 3
         raise InputError("epsilon too small: cell volume h**d underflows to 0")
     shape = [int(size) for size in shape]
-    occupied, _ = _unique_index_counts(box_indices(GridSpec(lo, h), cloud.points))
-    near, _ = _unique_index_counts(occupied >> 2)
+    grid, shift = GridSpec(lo, h), 2 * d  # a fine cell's place in its coarse cell, 2 bits an axis
+    # Indexing is monotone in each coordinate, so the bounding-box corners hold
+    # the least and greatest index on each axis. Padded by two coarse cells a
+    # side, the span holds every near cell and every cell a step from one.
+    lowest, highest = np.floor((np.stack([box.min, box.max]) - lo) / h).astype(np.int64)
+    base = (lowest >> 2) - 2
+    dims = ((highest >> 2) - base + 3).tolist()
+    if math.prod(dims) << shift < 2**63:
+        # One key a fine cell, coarse cell first: the C-order (np.ravel_multi_index)
+        # number of its coarse cell in the padded span, then its place there.
+        cells = np.zeros(len(cloud), dtype=np.int64)
+        for start in range(0, len(cloud), _KEY_ROWS):
+            out = cells[start : start + _KEY_ROWS]
+            idx = box_indices(grid, cloud.points[start : start + _KEY_ROWS])
+            for col, first, size in zip(idx.T, base.tolist(), dims):
+                out *= size
+                out += (col >> 2) - first
+            for col in idx.T:
+                out <<= 2
+                out |= col & 3
+            idx = out = col = None  # freed before the next chunk is indexed
+        # On int64 (numpy 2.4, 2 vCPU) the default sort is about 10x the stable
+        # one on keys in random order, which is about 3x the default on the
+        # concatenated sorted runs below.
+        cells = _sorted_unique(cells)
+        places = cells & ((1 << shift) - 1)
+        cells >>= shift  # the coarse cell of each occupied fine cell, sorted
+        near = cells[_run_starts(cells)]
+        steps = strides = [math.prod(dims[axis + 1 :]) for axis in range(d)]
+    else:  # the fine cells' rows, lexicographic, then the near rows
+        occupied, _ = _unique_index_counts(box_indices(grid, cloud.points))
+        near, _ = _unique_index_counts(occupied >> 2)
+        steps = np.eye(d, dtype=np.int64)
     # The 3**d neighbors axis by axis; near only grows, so the budget stops it early.
-    for step in np.eye(d, dtype=np.int64):
-        near, _ = _unique_index_counts(np.concatenate([near - step, near, near + step]))
+    for step in steps:
+        near = np.concatenate([near - step, near, near + step])
+        near = _unique_index_counts(near)[0] if near.ndim > 1 else _sorted_unique(near, "stable")
         if len(near) * 4**d > VOLUME_MAX_CELLS:
             raise InputError(f"too many volume cells at epsilon {eps!r} (over {VOLUME_MAX_CELLS})")
+    if near.ndim == 1:
 
-    # Key near cells by their ranks among near's values on each axis, packed:
-    # lexicographic, as near is, and under the budget below len(near)**d <= 2**57.
-    # Asked for counts, np.unique sorts; without, numpy 2.4 hashes, 3x slower here.
-    axes = [np.unique(col, return_counts=True)[0] for col in near.T]
-    sizes = [len(vals) for vals in axes]
-    ranks = [np.searchsorted(vals, col) for col, vals in zip(near.T, axes)]
-    n, keys = len(near), np.ravel_multi_index(ranks, sizes)
+        def unpack(keys):
+            return [col + first for col, first in zip(np.unravel_index(keys, dims), base)]
 
-    def neighbors(axis, step):
-        # The rows of near a step along the axis, n where it has none. The step
-        # moves only this axis's rank, by one if near has the value, and so the
-        # key by the axis's stride.
-        vals, rank = axes[axis], ranks[axis] + step
-        rank.clip(0, len(vals) - 1, out=rank)
-        found = vals[rank] == near[:, axis] + step
-        target = keys + step * math.prod(sizes[axis + 1 :])
-        row = np.searchsorted(keys, target).clip(max=n - 1)
-        found &= keys[row] == target
-        return np.where(found, row, n).astype(np.int32)
+    else:
+        # Key near rows by their ranks among each axis's values and the values
+        # one off them, packed: lexicographic, as near is, and under the budget
+        # below (3 * len(near))**d <= 27 * 2**57. A step of one cell along an
+        # axis is then a step of one rank, and of the axis's stride in the key.
+        axes = [np.concatenate([col - 1, col, col + 1]) for col in near.T]
+        axes = [_sorted_unique(vals, "stable") for vals in axes]
+        sizes = [len(vals) for vals in axes]
+
+        def pack(rows):
+            ranks = [np.searchsorted(vals, col) for col, vals in zip(rows.T, axes)]
+            return np.ravel_multi_index(ranks, sizes)
+
+        def unpack(keys):
+            return [vals[col] for col, vals in zip(np.unravel_index(keys, sizes), axes)]
+
+        near, cells = pack(near), pack(occupied >> 2)
+        places = np.ravel_multi_index(tuple((occupied & 3).T), (4,) * d)
+        strides = [math.prod(sizes[axis + 1 :]) for axis in range(d)]
+        del occupied
+
+    n = len(near)
+
+    def neighbors(step):
+        # The rows of near a step from each of its cells, n where near has none.
+        target = near + step
+        row = np.searchsorted(near, target).clip(max=n - 1)
+        return np.where(near[row] == target, row, n).astype(np.int32)
 
     # Bitmaps hold 4**d fine cells a near row, and an empty last row that stands
     # for missing neighbors.
-    links = [[np.append(neighbors(axis, s), n) for s in (-1, 1)] for axis in range(d)]
-    coarse = [np.searchsorted(vals, col) for col, vals in zip((occupied >> 2).T, axes)]
-    seed_rows = np.searchsorted(keys, np.ravel_multi_index(coarse, sizes))  # all are in near
-    seeds = np.ravel_multi_index((seed_rows, *(occupied & 3).T), (n + 1,) + (4,) * d)
+    links = [[np.append(neighbors(s), n) for s in (-stride, stride)] for stride in strides]
+    seeds = np.searchsorted(near, cells) << shift | places  # every occupied coarse cell is near
     seeds = seeds.astype(np.int32)  # a bitmap holds under 2**31 cells
-    del occupied, ranks, keys  # the links and seeds stand for them from here on
+    del cells, places  # the links and seeds stand for them from here on
 
     def seeded():
         bits = np.zeros((n + 1,) + (4,) * d, dtype=bool)
@@ -753,6 +814,7 @@ def _volume_ring(cloud: PointCloud, epsilon: float):
     del dilate  # it calls itself: a cycle holding links and seeds until a collection
     yield eps, h, marked
 
+    near = unpack(near)  # the near cells' rows, as columns
     rows = (1 << 16) // 4**d  # 2**16 fine cells a block
     for start in range(0, n, rows):
         ring = reach[start : start + rows]
@@ -760,7 +822,7 @@ def _volume_ring(cloud: PointCloud, epsilon: float):
         ring &= ~certain.reshape(ring.shape)
         # Column by column: row broadcasts over (n, d) arrays are several times slower.
         row, *offsets = np.nonzero(ring)
-        fine = [4 * col[row + start] + m for col, m in zip(near.T, offsets)]
+        fine = [4 * col[row + start] + m for col, m in zip(near, offsets)]
         keep = np.logical_and.reduce([(m >= 0) & (m < size) for m, size in zip(fine, shape)])
         yield np.stack([low + (m[keep] + 0.5) * h for low, m in zip(lo, fine)], axis=1)
 

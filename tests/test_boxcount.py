@@ -763,6 +763,22 @@ BOTH_ESTIMATORS = pytest.mark.parametrize(
 )
 
 
+def spy_on_rows(monkeypatch) -> list:
+    """The number of rows of every ``_unique_index_counts`` call, in order.
+
+    The volume route calls it only on a grid too wide for one key a fine cell.
+    """
+    calls = []
+    original = dimest.boxcount._unique_index_counts
+
+    def spy(*args):
+        calls.append(len(args[0]))
+        return original(*args)
+
+    monkeypatch.setattr(dimest.boxcount, "_unique_index_counts", spy)
+    return calls
+
+
 class TestVolumeEstimate:
     @given(volume_cases())
     @settings(max_examples=200, deadline=None)
@@ -822,6 +838,40 @@ class TestVolumeEstimate:
         message = f"too many volume cells at epsilon 0.25 (over {VOLUME_MAX_CELLS})"
         with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             estimate(PointCloud(lattice), 0.25)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_grid_too_wide_for_a_key(self, monkeypatch, d):
+        # The two points are 2**43 coarse cells apart on every axis, so the
+        # padded span of coarse cells times 4**d is past 2**63: the near cells
+        # are ranked on their rows. Every coordinate and center is exact in binary.
+        ranked = spy_on_rows(monkeypatch)
+        one = volume_estimate(PointCloud(np.zeros((1, d))), 0.125).volume
+        assert ranked == []
+        far = PointCloud(np.stack([np.zeros(d), np.full(d, 2.0**40)]))
+        assert volume_estimate(far, 0.125).volume == 2 * one
+        assert ranked
+
+    def test_fuzzer_grid_of_8_by_2_30_by_2_30_cells(self, monkeypatch):
+        # The CLI contract fuzzer's two 3-D points, on a grid too wide for a key.
+        ranked = spy_on_rows(monkeypatch)
+        cloud = PointCloud(np.array([[0.0, 0.0, 0.0], [0.0, 2.0**28 - 2, 2.0**28 - 2]]))
+        widths = bounding_box(cloud).inflated(1.0).widths
+        assert np.ceil(widths / 0.25).tolist() == [8, 2**30, 2**30]
+        one = volume_estimate(PointCloud(np.zeros((1, 3))), 1.0).volume
+        assert volume_estimate(cloud, 1.0).volume == 2 * one
+        assert ranked
+
+    @given(lattice_volume_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_far_copy_doubles_the_volume(self, case):
+        # C and C + 2**40 are too far apart for a key, and their neighborhoods
+        # are disjoint: no full-grid reference reaches such a grid.
+        cloud, _ = case
+        assume(cloud.dim > 1)
+        epsilons = [0.125, 0.25, 0.5]
+        far = PointCloud(np.concatenate([cloud.points, cloud.points + 2.0**40]))
+        got = [est.volume for est in volume_estimates(far, epsilons)]
+        assert got == [2 * est.volume for est in volume_estimates(cloud, epsilons)]
 
     @pytest.mark.parametrize(
         "points, eps",
@@ -962,6 +1012,24 @@ class TestVolumeEstimates:
         assert volumes == [_full_grid_volume(cloud, eps) for eps in epsilons]
         assert len(threads) > 2 * len(epsilons)
         assert any(thread is not threading.main_thread() for thread in threads)
+
+    def test_points_are_indexed_a_chunk_at_a_time(self, monkeypatch):
+        # On a grid whose cells fit one key each, no index array of the whole
+        # cloud is built: each scale indexes every point once, a chunk at a time.
+        indexed = []
+        original = dimest.boxcount.box_indices
+
+        def spy(grid, points):
+            indexed.append(len(points))
+            return original(grid, points)
+
+        monkeypatch.setattr(dimest.boxcount, "box_indices", spy)
+        rows = spy_on_rows(monkeypatch)
+        cloud = PointCloud(chunked_cloud(2 * KEY_CHUNK + 1, 2))
+        volume_estimates(cloud, [0.1, 0.05])
+        assert max(indexed) <= dimest.boxcount._KEY_ROWS
+        assert sum(indexed) == 2 * len(cloud)
+        assert rows == []
 
     def test_worker_has_ended_when_the_call_returns(self):
         cloud = ifs_chaos_game(sierpinski_spec(2000, rng_seed=3))
