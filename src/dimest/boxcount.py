@@ -11,12 +11,13 @@ Two independent routes to the same dimension:
   ``volume_dimension``). Each occupied fine cell is one sorted int64 key,
   its coarse cell (side epsilon) numbered over the cloud's padded span and
   then its place there, built a chunk of points at a time, so the near
-  coarse cells and their links are binary searches, not index rows.
-  Euclidean stencils around the occupied fine cells settle most of them;
-  only the ring the stencils leave undecided is queried on a KD-tree, one a
-  ``volume_estimates`` call. The tree is built on the calling thread while
-  one worker thread builds the first scale's bitmaps; the ring is then
-  queried mostly on that worker, while the next scale's bitmaps are built.
+  coarse cells and their links are binary searches, not index rows. Each
+  near coarse cell's 4**d fine cells are one machine word, which Euclidean
+  stencils around the occupied fine cells grow by shifts; they settle most
+  cells. Only the ring they leave undecided is queried on a KD-tree, one a
+  ``volume_estimates`` call, built once the first scale's bitmaps are; the
+  ring is queried mostly on one worker thread while the next scale's bitmaps
+  are built.
 
 For a set of dimension s in R^d the occupied count grows like eps**-s while
 the neighborhood volume shrinks like eps**(d-s), so the two estimators agree
@@ -102,11 +103,19 @@ VOLUME_MAX_CELLS = 1 << 25
 # anchor and schedule; freed with the cloud.
 _PASSES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
+# The set bits of each byte: a volume bitmap's cells are counted a byte at a time.
+_BYTE_BITS = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.uint8)
+
 # Points indexed at a time while their Z-order keys are built; a chunk's
 # temporaries take a few MB. On a 10**6-point Henon orbit at dyadic(3, 14)
 # (in process, 2 vCPU, median of 12) 2**13 to 2**16 rows time the scalar pass
 # alike, 47-49 ms, while 2**18 takes 55 ms and 2**20 65 ms.
 _KEY_ROWS = 1 << 16
+
+# Points the volume route keys at a time. On the 10**5-point Sierpinski cloud
+# at its four benchmark scales (2 vCPU), 2**14 rows rather than 2**16 lowered
+# the resident peak of report --volume by 1.5 MB, and checked them in 37 ms, not 47.
+_VOLUME_KEY_ROWS = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -510,7 +519,7 @@ def volume_estimate(cloud: PointCloud, epsilon: float) -> VolumeEstimate:
     by epsilon and marks every fine cell whose center lies within distance
     epsilon of some cloud point; the volume is (marked cells) * h**d. Only the
     fine cells of the coarse cells (side 4h = epsilon) that hold or neighbor a
-    point are examined, a bitmap row each, so the cost grows with the occupied
+    point are examined, a bitmap word each, so the cost grows with the occupied
     cells, not the box; over ``VOLUME_MAX_CELLS`` raise InputError before any query,
     as for an epsilon whose grid or volume would overflow a float, or whose
     cell volume ``h**d`` underflows to 0.
@@ -519,10 +528,11 @@ def volume_estimate(cloud: PointCloud, epsilon: float) -> VolumeEstimate:
     point's key is the C-order number of its coarse cell in the cloud's
     coarse span (from the bounding-box corners, padded by two cells a side)
     times ``4**d``, plus its fine cell's place in the coarse cell. The keys
-    are built ``_KEY_ROWS`` points at a time and sorted once; the near cells
-    grow from their coarse cells by each axis's stride, and a neighbor or a
-    bitmap row is a binary search. A span whose keys would reach 2**63 keys
-    the near cells' rows by rank among each axis's values and those one off.
+    are built ``_VOLUME_KEY_ROWS`` points at a time and sorted once; the near
+    cells grow from their coarse cells by each axis's stride, and a neighbor
+    or a bitmap word is a binary search. A span whose keys would reach 2**63
+    keys the near cells' rows by rank among each axis's values and those one
+    off.
 
     A point of fine cell f is within (|delta_i| + 1/2) h of the center of
     f + delta on each axis, and at least max(0, |delta_i| - 1/2) h from it.
@@ -547,8 +557,12 @@ def volume_estimate(cloud: PointCloud, epsilon: float) -> VolumeEstimate:
     rule over the first axis takes the union: grow the sum a step, add the
     dilation by the section at the next offset down (in 3-D, built the same
     way over the second axis); the innermost sections, nested intervals,
-    extend one chain. At most three bitmaps are live: the sure cells wait 8
-    to a byte while the reach is dilated.
+    extend one chain. A bitmap is one little-endian word a near coarse cell
+    (uint8, uint16 or uint64 for d = 1, 2, 3), fine cell i at bit
+    sum((i_a & 3) << 2 (d - 1 - a)), so a step along axis a is a shift by
+    4**(d - 1 - a) within each word, plus the edge cells of the neighbor words
+    shifted by three such steps. The sure cells are counted a byte at a time;
+    the ring is the reach without them, unpacked a block at a time.
 
     The KD-tree, one a call, is unbalanced with loose node boxes, the cheaper
     build. ``dist <= epsilon`` depends only on per-pair distances, alike in any
@@ -556,11 +570,10 @@ def volume_estimate(cloud: PointCloud, epsilon: float) -> VolumeEstimate:
     a node is pruned only if its lower bound, off by rounding far under that
     slack, exceeds the bound or the best pair found. So trees differ only if a
     best pair a rounding error past epsilon hides one within it. The tree is
-    built on the calling thread once the first scale is checked and while one
-    worker thread builds that scale's bitmaps; the ring is queried on it a
-    block at a time, mostly on that worker (:func:`volume_estimates`). So a
-    loop of calls on one cloud builds a tree each; :func:`volume_estimates`
-    builds one for all its scales.
+    built on the calling thread once the first scale is checked and its
+    bitmaps built; the ring is queried on it a block at a time, mostly on one
+    worker thread (:func:`volume_estimates`). So a loop of calls on one cloud
+    builds a tree each; :func:`volume_estimates` builds one for all its scales.
     """
     return volume_estimates(cloud, [epsilon])[0]
 
@@ -569,14 +582,12 @@ def volume_estimates(cloud: PointCloud, epsilons: Iterable[float]) -> list[Volum
     """:func:`volume_estimate` at each epsilon, in order, the same volumes.
 
     The calling thread checks each scale, where the serial loop would raise
-    the same InputError, links its near cells and builds its bitmaps, but for
-    the first scale's bitmaps: one worker thread builds those while the
-    calling thread builds the KD-tree (scipy's build releases the GIL). The
-    calling thread then hands each block of the ring's centers, 2**16 fine
-    cells at most, to the worker, which only queries the tree (releasing the
-    GIL too) and counts the marked centers. So the queries of one scale run
-    while the next scale's bitmaps are built. The tree is the call's own,
-    freed when it returns.
+    the same InputError, links its near cells and builds its bitmaps; after
+    the first scale's, it builds the KD-tree. It then hands each block of the
+    ring's centers, from 2**16 fine cells of near rows, to one worker thread,
+    which only queries the tree (releasing the GIL) and counts the marked
+    centers. So the queries of one scale run while the next scale's bitmaps
+    are built. The tree is the call's own, freed when it returns.
 
     At most two blocks wait on the worker, so at most three are live: a new
     block waits for the worker's oldest one to end, except on the last scale,
@@ -601,20 +612,13 @@ def volume_estimates(cloud: PointCloud, epsilons: Iterable[float]) -> list[Volum
     try:
         for i, epsilon in enumerate(epsilons):
             ring = _volume_ring(cloud, epsilon)
-            next(ring)  # checks the scale and links its near cells
-            if pool is None:
+            scales.append(list(next(ring)))  # checks the scale and counts its sure cells
+            if tree is None:  # imported here, so that importing dimest loads no scipy
                 from concurrent.futures import ThreadPoolExecutor  # scipy.spatial loads it too
+                from scipy.spatial import cKDTree
 
+                tree = cKDTree(cloud.points, balanced_tree=False, compact_nodes=False)
                 pool = ThreadPoolExecutor(1, thread_name_prefix="dimest-volume")
-                bitmaps = pool.submit(next, ring)  # beside the tree build
-                try:  # imported here, so that importing dimest loads no scipy
-                    from scipy.spatial import cKDTree
-
-                    tree = cKDTree(cloud.points, balanced_tree=False, compact_nodes=False)
-                finally:
-                    scales.append(list(bitmaps.result()))  # a bitmap error surfaces first
-            else:
-                scales.append(list(next(ring)))  # counts the sure cells
             last, eps = i == len(epsilons) - 1, scales[i][0]
             for centers in ring:
                 if last and len(pending) == 2 and not pending[0][1].done():
@@ -640,12 +644,10 @@ def volume_estimates(cloud: PointCloud, epsilons: Iterable[float]) -> list[Volum
 def _volume_ring(cloud: PointCloud, epsilon: float):
     """Checks one scale of :func:`volume_estimate` and marks its sure cells.
 
-    Yields None once the scale is checked, its cell budget met and its near
-    cells linked; then ``(epsilon, h, sure cells)`` once its bitmaps are
-    built; then the centers of the ring's fine cells inside the grid, as
-    ``(m, d)`` arrays of 2**16 cells at most. :func:`volume_estimates` may
-    resume one scale on two threads, its bitmaps on the worker and the rest on
-    the calling thread, but never on both at once.
+    Yields ``(epsilon, h, sure cells)`` once the scale is checked, its cell
+    budget met, its near cells linked and its bitmaps built; then the centers
+    of the ring's fine cells inside the grid, as ``(m, d)`` arrays from blocks
+    of 2**16 fine cells of near rows.
     """
     if len(cloud) == 0:
         raise InputError("empty point set")
@@ -684,9 +686,9 @@ def _volume_ring(cloud: PointCloud, epsilon: float):
         # One key a fine cell, coarse cell first: the C-order (np.ravel_multi_index)
         # number of its coarse cell in the padded span, then its place there.
         cells = np.zeros(len(cloud), dtype=np.int64)
-        for start in range(0, len(cloud), _KEY_ROWS):
-            out = cells[start : start + _KEY_ROWS]
-            idx = box_indices(grid, cloud.points[start : start + _KEY_ROWS])
+        for start in range(0, len(cloud), _VOLUME_KEY_ROWS):
+            out = cells[start : start + _VOLUME_KEY_ROWS]
+            idx = box_indices(grid, cloud.points[start : start + _VOLUME_KEY_ROWS])
             for col, first, size in zip(idx.T, base.tolist(), dims):
                 out *= size
                 out += (col >> 2) - first
@@ -734,7 +736,8 @@ def _volume_ring(cloud: PointCloud, epsilon: float):
             return [vals[col] for col, vals in zip(np.unravel_index(keys, sizes), axes)]
 
         near, cells = pack(near), pack(occupied >> 2)
-        places = np.ravel_multi_index(tuple((occupied & 3).T), (4,) * d)
+        order = np.argsort(cells, kind="stable")  # occupied >> 2 need not be lexicographic
+        cells, places = cells[order], np.ravel_multi_index(tuple((occupied[order] & 3).T), (4,) * d)
         strides = [math.prod(sizes[axis + 1 :]) for axis in range(d)]
         del occupied
 
@@ -746,41 +749,37 @@ def _volume_ring(cloud: PointCloud, epsilon: float):
         row = np.searchsorted(near, target).clip(max=n - 1)
         return np.where(near[row] == target, row, n).astype(np.int32)
 
-    # Bitmaps hold 4**d fine cells a near row, and an empty last row that stands
-    # for missing neighbors.
+    # A bitmap is one word a near row, its fine cells at the bits of their
+    # places, and an empty last word that stands for missing neighbors.
     links = [[np.append(neighbors(s), n) for s in (-stride, stride)] for stride in strides]
-    seeds = np.searchsorted(near, cells) << shift | places  # every occupied coarse cell is near
-    seeds = seeds.astype(np.int32)  # a bitmap holds under 2**31 cells
-    del cells, places  # the links and seeds stand for them from here on
+    word = np.dtype(("<u1", "<u2", "<u8")[d - 1])
+    bit = np.left_shift(np.ones(4**d, word), np.arange(4**d, dtype=word))
+    edges = []  # per axis: shifts of one step and of three, the cells at its first and last place
+    for value in [4 ** (d - 1 - axis) for axis in range(d)]:
+        first = np.bitwise_or.reduce(bit[np.arange(4**d) // value % 4 == 0])
+        step, across = word.type(value), word.type(3 * value)
+        edges.append((step, across, first, first << across))
+    starts = _run_starts(cells)  # the occupied fine cells, grouped by coarse cell
+    seeds = np.zeros(n + 1, dtype=word)  # every occupied coarse cell is near
+    seeds[np.searchsorted(near, cells[starts])] = np.bitwise_or.reduceat(bit[places], starts)
+    del cells, places, starts  # the links and seeds stand for them from here on
 
-    def seeded():
-        bits = np.zeros((n + 1,) + (4,) * d, dtype=bool)
-        bits.reshape(-1)[seeds] = True
-        return bits
-
-    def grow(bits, axis, times):
-        # A cell a step each way along the axis, times over: the end slabs of the
-        # neighbor rows are read first, then every row grows in place slab by
-        # slab, copying nothing else. A uint32 is 4 cells on the last axis.
-        words = bits.view("<u4")[..., 0] if axis < d - 1 else bits
-        slab = [words[(slice(None),) * (axis + 1) + (i,)] for i in range(4)]
+    def grow(words, axis, times):
+        # A cell a step each way along the axis, times over, in place.
         below, above = links[axis]
+        step, across, first, last = edges[axis]
         for _ in range(times):
-            low, high = slab[3][below], slab[0][above]
-            for i in (3, 2, 1):
-                slab[i] |= slab[i - 1]
-            for i in (0, 1, 2):
-                slab[i] |= slab[i + 1]
-            slab[0] |= low
-            slab[3] |= high
-        return bits
+            low, high = words[below] & last, words[above] & first
+            words |= (words & ~last) << step | (words & ~first) >> step
+            words |= low >> across | high << across
+        return words
 
     def dilate(stencil):
         # Cells at an offset in the stencil (over the last stencil.ndim axes)
         # from an occupied fine cell, by Horner's rule over the first of them.
         axis = d - stencil.ndim
         if stencil.ndim == 1:
-            return grow(seeded(), axis, np.count_nonzero(stencil) - 1)
+            return grow(seeds.copy(), axis, np.count_nonzero(stencil) - 1)
         total = chain = None
         last = np.zeros_like(stencil[0])
         for a in reversed(range(len(stencil))):
@@ -793,7 +792,7 @@ def _volume_ring(cloud: PointCloud, epsilon: float):
                 part = dilate(stencil[a])
             else:  # the sections are nested intervals: extend one chain
                 if chain is None:
-                    chain, grown = seeded(), 0
+                    chain, grown = seeds.copy(), 0
                 part = grow(chain, axis + 1, np.count_nonzero(stencil[a]) - 1 - grown)
                 grown = np.count_nonzero(stencil[a]) - 1
             if total is None:
@@ -802,27 +801,21 @@ def _volume_ring(cloud: PointCloud, epsilon: float):
                 total |= part
         return total
 
-    # From here the first scale runs on the worker. Its links are built before:
-    # built there, their freed buffers stay in the worker's malloc arena, which
-    # raised the peak RSS of report --volume by about 0.5x its 10**5-point cloud.
-    yield
     inner, outer = volume_stencils(d, (span / h + 8) * 2.0**-50)
     sure = dilate(inner)
-    marked = int(np.count_nonzero(sure))
-    sure = np.packbits(sure.reshape(n + 1, -1), axis=1)
-    reach = dilate(outer)
-    del dilate  # it calls itself: a cycle holding links and seeds until a collection
+    marked = int(_BYTE_BITS[sure.view(np.uint8)].sum())
+    ring = dilate(outer)
+    ring &= ~sure
+    del dilate, sure  # dilate calls itself: a cycle holding links and seeds until a collection
     yield eps, h, marked
 
-    near = unpack(near)  # the near cells' rows, as columns
     rows = (1 << 16) // 4**d  # 2**16 fine cells a block
     for start in range(0, n, rows):
-        ring = reach[start : start + rows]
-        certain = np.unpackbits(sure[start : start + rows], axis=1, count=4**d).view(bool)
-        ring &= ~certain.reshape(ring.shape)
+        block = ring[start : start + rows].view(np.uint8).reshape(-1, word.itemsize)
+        block = np.unpackbits(block, axis=1, count=4**d, bitorder="little").view(bool)
         # Column by column: row broadcasts over (n, d) arrays are several times slower.
-        row, *offsets = np.nonzero(ring)
-        fine = [4 * col[row + start] + m for col, m in zip(near, offsets)]
+        row, *offsets = np.nonzero(block.reshape((-1,) + (4,) * d))
+        fine = [4 * col[row] + m for col, m in zip(unpack(near[start : start + rows]), offsets)]
         keep = np.logical_and.reduce([(m >= 0) & (m < size) for m, size in zip(fine, shape)])
         yield np.stack([low + (m[keep] + 0.5) * h for low, m in zip(lo, fine)], axis=1)
 

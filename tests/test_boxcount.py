@@ -1027,7 +1027,7 @@ class TestVolumeEstimates:
         rows = spy_on_rows(monkeypatch)
         cloud = PointCloud(chunked_cloud(2 * KEY_CHUNK + 1, 2))
         volume_estimates(cloud, [0.1, 0.05])
-        assert max(indexed) <= dimest.boxcount._KEY_ROWS
+        assert max(indexed) <= dimest.boxcount._VOLUME_KEY_ROWS
         assert sum(indexed) == 2 * len(cloud)
         assert rows == []
 
@@ -1079,54 +1079,50 @@ class TestVolumeEstimates:
             volume_estimates(cloud, epsilons)
         assert threads[0] is not threading.main_thread()
 
-    def test_first_scale_bitmaps_are_built_beside_the_tree(self, monkeypatch):
-        # np.packbits is called once a scale, by its bitmaps. The first
-        # scale's call waits for the tree build to start: it must run on the
-        # worker while the calling thread builds the tree.
-        trees, packed, building = [], [], threading.Event()
-        packbits = np.packbits
+    def test_first_scale_bitmaps_are_built_before_the_tree(self, monkeypatch):
+        # volume_stencils is called once a scale, as its bitmaps are built. All
+        # run on the calling thread, the first scale's before the tree build.
+        trees, stencils = [], []
 
         class RecordingTree(cKDTree):
             def __init__(self, data, *args, **kwargs):
-                trees.append(threading.current_thread())
-                building.set()
+                trees.append((threading.current_thread(), len(stencils)))
                 super().__init__(data, *args, **kwargs)
 
-        def spy(*args, **kwargs):
-            packed.append((threading.current_thread().name, building.wait(5)))
-            return packbits(*args, **kwargs)
+        def spy(*args):
+            stencils.append((threading.current_thread(), len(trees)))
+            return volume_stencils(*args)
 
         monkeypatch.setattr(scipy.spatial, "cKDTree", RecordingTree)
-        monkeypatch.setattr(np, "packbits", spy)
+        monkeypatch.setattr(dimest.boxcount, "volume_stencils", spy)
         cloud = ifs_chaos_game(sierpinski_spec(2000, rng_seed=3))
-        assert volume_estimates(cloud, [0.1, 0.05]) == [
-            volume_estimate(cloud, eps) for eps in [0.1, 0.05]
-        ]
-        # One tree a call: the two volume_estimate calls build their own.
-        assert trees == [threading.main_thread()] * 3
-        first, second = packed[:2]
-        assert first[0].startswith("dimest-volume") and first[1]
-        assert second[0] == threading.main_thread().name
+        volume_estimates(cloud, [0.1, 0.05])
+        main = threading.main_thread()
+        assert trees == [(main, 1)]
+        assert stencils == [(main, 0), (main, 1)]
 
     @pytest.mark.parametrize("bitmaps_fail", [False, True], ids=["tree", "tree-and-bitmaps"])
     def test_tree_build_error_propagates(self, monkeypatch, bitmaps_fail):
-        # The tree build fails while the worker builds the first scale's
-        # bitmaps; a bitmap error, which ends later, still surfaces first.
+        # The first scale's bitmaps are built before the tree: their error
+        # surfaces and no tree is built. Either error leaves no worker thread.
+        built = []
+
         class FailingTree(cKDTree):
             def __init__(self, *args, **kwargs):
+                built.append(self)
                 raise RuntimeError("tree failed")
 
-        def failing_packbits(*args, **kwargs):
-            time.sleep(0.1)
+        def failing_stencils(*args):
             raise RuntimeError("bitmaps failed")
 
         monkeypatch.setattr(scipy.spatial, "cKDTree", FailingTree)
         if bitmaps_fail:
-            monkeypatch.setattr(np, "packbits", failing_packbits)
+            monkeypatch.setattr(dimest.boxcount, "volume_stencils", failing_stencils)
         cloud = ifs_chaos_game(sierpinski_spec(2000, rng_seed=3))
         message = "bitmaps failed" if bitmaps_fail else "tree failed"
         with pytest.raises(RuntimeError, match=f"^{message}$"):
             volume_estimates(cloud, [0.1, 0.05])
+        assert len(built) == (0 if bitmaps_fail else 1)
         assert [t.name for t in threading.enumerate() if t.name.startswith("dimest-volume")] == []
 
     def test_at_most_two_blocks_wait_on_the_worker(self, monkeypatch):
@@ -1204,6 +1200,73 @@ def _spy_estimate(cloud: PointCloud, eps: float) -> tuple[list, list]:
     return built, queried
 
 
+def _bool_bitmap_ring(cloud: PointCloud, eps: float) -> tuple[int, set]:
+    """Sure cells and ring centers of one scale, by bitmaps of a bool a fine cell.
+
+    The reference for the estimator's bitmaps of a word a near coarse cell:
+    the near cells are index rows found with a dict, each one a ``(4,) * d``
+    bool array grown slab by slab, and an empty last row stands for missing
+    neighbors. The stencils and the dilation order are the estimator's.
+    """
+    d, h = cloud.dim, eps / 4.0
+    box = bounding_box(cloud).inflated(eps)
+    occupied = count_boxes(cloud, GridSpec(box.min, h))[1].indices
+    units = np.stack(np.meshgrid(*[[-1, 0, 1]] * d), axis=-1).reshape(-1, d)
+    near = np.unique(((occupied >> 2)[:, None] + units).reshape(-1, d), axis=0)
+    n, rows = len(near), {m: i for i, m in enumerate(map(tuple, near.tolist()))}
+    links = [
+        [np.array([rows.get(tuple(m), n) for m in (near + s).tolist()] + [n]) for s in (-u, u)]
+        for u in np.eye(d, dtype=np.int64)
+    ]
+    seeds = np.zeros((n + 1,) + (4,) * d, dtype=bool)
+    seeds[(np.array([rows[tuple(m)] for m in (occupied >> 2).tolist()]), *(occupied & 3).T)] = True
+
+    def grow(bits, axis, times):
+        slab = [bits[(slice(None),) * (axis + 1) + (i,)] for i in range(4)]
+        below, above = links[axis]
+        for _ in range(times):
+            low, high = slab[3][below], slab[0][above]
+            for i in (3, 2, 1):
+                slab[i] |= slab[i - 1]
+            for i in (0, 1, 2):
+                slab[i] |= slab[i + 1]
+            slab[0] |= low
+            slab[3] |= high
+        return bits
+
+    def dilate(stencil):
+        axis = d - stencil.ndim
+        if stencil.ndim == 1:
+            return grow(seeds.copy(), axis, np.count_nonzero(stencil) - 1)
+        total = chain = None
+        last = np.zeros_like(stencil[0])
+        for a in reversed(range(len(stencil))):
+            if total is not None:
+                grow(total, axis, 1)
+            if np.array_equal(stencil[a], last):
+                continue
+            last = stencil[a]
+            if stencil.ndim > 2:
+                part = dilate(stencil[a])
+            else:
+                if chain is None:
+                    chain, grown = seeds.copy(), 0
+                part = grow(chain, axis + 1, np.count_nonzero(stencil[a]) - 1 - grown)
+                grown = np.count_nonzero(stencil[a]) - 1
+            if total is None:
+                total = part.copy() if part is chain else part
+            else:
+                total |= part
+        return total
+
+    mu = (np.abs([box.min, box.max]).max() / h + 8) * 2.0**-50
+    sure, reach = (dilate(stencil)[:n] for stencil in volume_stencils(d, mu))
+    row, *offsets = np.nonzero(reach & ~sure)
+    fine = 4 * near[row] + np.stack(offsets, axis=1)
+    fine = fine[((fine >= 0) & (fine < np.ceil(box.widths / h))).all(axis=1)]
+    return int(np.count_nonzero(sure)), set(map(tuple, (box.min + (fine + 0.5) * h).tolist()))
+
+
 class TestVolumeQueries:
     @given(lattice_volume_cases())
     @settings(max_examples=150, deadline=None)
@@ -1227,6 +1290,27 @@ class TestVolumeQueries:
         asked = np.round((np.concatenate(queried) - lo) / h - 0.5).astype(np.int64)
         assert len(asked) == len(ring)
         assert {tuple(m) for m in asked.tolist()} == ring
+
+    @given(st.one_of(volume_cases(), lattice_volume_cases()), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_word_bitmaps_match_bool_bitmaps(self, case, far):
+        # The outermost near rows miss neighbors on every axis. A far copy of a
+        # 2-D or 3-D cloud makes the grid too wide for a key, so its near rows
+        # are keyed by rank; a 1-D span within the 2**48 h guard always fits one.
+        cloud, eps = case
+        if far:
+            assume(cloud.dim > 1 and np.abs(cloud.points).max() < 2.0**21)
+            cloud = PointCloud(np.concatenate([cloud.points, cloud.points + 2.0**40]))
+        with pytest.MonkeyPatch.context() as patch:
+            ranked = spy_on_rows(patch)
+            (tree,), queried = _spy_estimate(cloud, eps)
+        assert bool(ranked) == far
+        queried = np.concatenate(queried)
+        marked = round(volume_estimate(cloud, eps).volume / (eps / 4.0) ** cloud.dim)
+        sure, ring = _bool_bitmap_ring(cloud, eps)
+        assert marked - np.count_nonzero(_marks(tree, queried, eps)) == sure
+        assert len(queried) == len(ring)
+        assert set(map(tuple, queried.tolist())) == ring
 
     @given(st.one_of(volume_cases(), lattice_volume_cases()))
     @settings(max_examples=150, deadline=None)

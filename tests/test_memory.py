@@ -30,8 +30,10 @@ non-ASCII comment: "was") and since np.loadtxt reads the checked file itself
 was measured again, over repeated runs, once the first scale's bitmaps were
 built beside the KD-tree and two query blocks could wait on the worker. The
 five volume rows were then set anew when the volume route came to key its
-fine cells a chunk of points at a time: each comment gives the peak before
-that change ("was") and after it ("now").
+fine cells a chunk of points at a time, and again when its bitmaps came to
+hold one machine word a near coarse cell and its keys to be built 2**14
+points at a time instead of 2**16: each comment gives the peak before that
+last change ("was") and after it ("now"). The 3-D row came with it.
 """
 
 from __future__ import annotations
@@ -42,12 +44,14 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 import scipy.spatial  # noqa: F401  imported before tracing: not counted
 
 import dimest
 from dimest import (
     HenonParams,
+    IfsSpec,
     PointCloud,
     ScaleSchedule,
     count_series,
@@ -96,8 +100,8 @@ def clouds(tmp_path_factory):
 LEDGER = [
     (["count", "--epsilons", EXPLICIT], "orbit", 2.5),  # 3.54 -> 2.02
     (["report", "--epsilons", EXPLICIT], "orbit", 2.5),  # 3.54 -> 2.02
-    (["report", "--volume", "--epsilons", VOLUME], "orbit", 3.25),  # 3.89-3.94 -> 2.86
-    (["report", "--volume", "--epsilons", VOLUME], "sierpinski", 4.0),  # 4.76-4.85 -> 3.56
+    (["report", "--volume", "--epsilons", VOLUME], "orbit", 2.75),  # 2.81-2.86 -> 2.32-2.37
+    (["report", "--volume", "--epsilons", VOLUME], "sierpinski", 3.25),  # 3.56 -> 2.80
     (["report", "--kmin", "3", "--kmax", "7"], "orbit", 2.5),  # control: 2.01 -> 2.01
     # k = 3..7; 3.05 when it is the first CSV read in the process.
     (["count", "--histogram", "{tmp}/histogram.json"], "orbit", 3.5),  # 3.02
@@ -151,7 +155,7 @@ def test_volume_estimate_peak_after_the_tree(clouds):
     # and frees it when it returns.
     cloud = clouds["sierpinski"][0]
     peak = traced_peak(lambda: volume_estimate(cloud, 0.004))
-    assert peak < 2.1 * cloud.points.nbytes  # 3.10 -> 1.82
+    assert peak < 1.7 * cloud.points.nbytes  # 1.82 -> 1.46
 
 
 def test_explicit_scalar_pass_peak(clouds):
@@ -167,7 +171,18 @@ def test_volume_estimates_peak_on_a_fresh_cloud(clouds):
     cloud = PointCloud(clouds["sierpinski"][0].points)
     scales = [float(e) for e in VOLUME.split(",")]
     peak = traced_peak(lambda: volume_estimates(cloud, scales))
-    assert peak < 2.9 * cloud.points.nbytes  # 3.72-3.80 -> 2.52
+    assert peak < 2.0 * cloud.points.nbytes  # 2.52 -> 1.70-1.74
+
+
+def test_volume_estimates_peak_in_three_dimensions():
+    # 10**5 points of the Sierpinski tetrahedron; a near coarse cell's bitmap
+    # is 64 fine cells, a byte each before (64 B) and a bit each now (8 B).
+    corners = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    maps = tuple((np.eye(3) / 2, corner / 2) for corner in corners)
+    spec = IfsSpec(maps, (0.25,) * 4, (0.25,) * 3, samples=10**5, rng_seed=0)
+    cloud = ifs_chaos_game(spec)
+    peak = traced_peak(lambda: volume_estimates(cloud, [0.1, 0.05, 0.03, 0.02]))
+    assert peak < 2.3 * cloud.points.nbytes  # 3.17 -> 1.96
 
 
 def with_mid_comment(data: bytes) -> bytes:
@@ -230,4 +245,4 @@ def test_volume_report_resident_peak(tmp_path, clouds):
     assert proc.returncode == 0, proc.stderr
     code, before, after = map(int, proc.stdout.split())
     assert code == 0
-    assert (after - before) * 1024 < 7.0 * cloud.points.nbytes  # 7.32-7.72 -> 6.00-6.18
+    assert (after - before) * 1024 < 6.0 * cloud.points.nbytes  # 6.02-6.24 -> 4.88-5.12
